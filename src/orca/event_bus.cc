@@ -593,7 +593,6 @@ void EventBus::JournalActuationFor(TransactionId txn,
 TransactionId EventBus::BeginDelivery(const std::string& summary,
                                       const std::string& queue_key,
                                       double now) {
-  events_delivered_.fetch_add(1, std::memory_order_relaxed);
   // Each delivery runs inside a transaction (§7 extension): the journal
   // ties the event to every actuation its handler performs.
   TransactionId txn = txn_log_.Begin(summary, queue_key, now);
@@ -605,6 +604,10 @@ void EventBus::FinishDelivery(Orchestrator* logic, TransactionId txn,
                               double now) {
   txn_log_.Commit(txn, now);
   tls_delivery = ThreadDelivery{};
+  // Counted once the handler has returned, its staged batch is in the
+  // service's mailbox and its transaction is committed: a reader that
+  // sees the count also sees everything the delivery did.
+  events_delivered_.fetch_add(1, std::memory_order_release);
   std::vector<std::unique_ptr<Orchestrator>> dispose;
   if (!async()) {
     // The handler frame has unwound; logic it retired from inside itself

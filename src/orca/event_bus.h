@@ -243,8 +243,10 @@ class EventBus {
   // Both counters are lock-free atomics so monitoring threads can poll
   // them during ThreadPoolExecutor runs without taking the bus lock (and
   // without TSan findings).
+  /// Completed deliveries: handler returned, staged batch committed to
+  /// the service mailbox, transaction committed.
   uint64_t events_delivered() const {
-    return events_delivered_.load(std::memory_order_relaxed);
+    return events_delivered_.load(std::memory_order_acquire);
   }
   /// Total undelivered events across all queues.
   size_t queue_depth() const {

@@ -14,12 +14,12 @@ using common::Status;
 using common::StrFormat;
 
 void GraphView::AddJob(const runtime::JobInfo& info) {
-  JobRecord record;
-  record.id = info.id;
-  record.app_name = info.app_name;
-  record.model = info.model;
-  record.pes = info.pes;
-  record.op_to_pe = info.op_to_pe;
+  auto record = std::make_shared<JobRecord>();
+  record->id = info.id;
+  record->app_name = info.app_name;
+  record->model = info.model;
+  record->pes = info.pes;
+  record->op_to_pe = info.op_to_pe;
   jobs_[info.id] = std::move(record);
 }
 
@@ -33,18 +33,18 @@ const GraphView::JobRecord* GraphView::FindJob(JobId job) const {
 
 const GraphView::JobRecord* GraphView::FindJobOrNull(JobId job) const {
   auto it = jobs_.find(job);
-  return it == jobs_.end() ? nullptr : &it->second;
+  return it == jobs_.end() ? nullptr : it->second.get();
 }
 
 std::vector<const GraphView::JobRecord*> GraphView::jobs() const {
   std::vector<const JobRecord*> out;
-  for (const auto& [id, record] : jobs_) out.push_back(&record);
+  for (const auto& [id, record] : jobs_) out.push_back(record.get());
   return out;
 }
 
 Result<std::vector<std::string>> GraphView::OperatorsInPe(PeId pe) const {
   for (const auto& [id, record] : jobs_) {
-    for (const auto& pe_record : record.pes) {
+    for (const auto& pe_record : record->pes) {
       if (pe_record.id == pe) return pe_record.operators;
     }
   }
@@ -54,12 +54,12 @@ Result<std::vector<std::string>> GraphView::OperatorsInPe(PeId pe) const {
 
 Result<std::vector<std::string>> GraphView::CompositesInPe(PeId pe) const {
   for (const auto& [id, record] : jobs_) {
-    for (const auto& pe_record : record.pes) {
+    for (const auto& pe_record : record->pes) {
       if (pe_record.id != pe) continue;
       std::set<std::string> composites;
       for (const auto& op_name : pe_record.operators) {
         for (const auto& comp :
-             record.model.EnclosingComposites(op_name)) {
+             record->model.EnclosingComposites(op_name)) {
           composites.insert(comp);
         }
       }
@@ -116,7 +116,7 @@ Result<PeId> GraphView::PeOfOperator(JobId job,
 
 Result<common::HostId> GraphView::HostOfPe(PeId pe) const {
   for (const auto& [id, record] : jobs_) {
-    for (const auto& pe_record : record.pes) {
+    for (const auto& pe_record : record->pes) {
       if (pe_record.id == pe) return pe_record.host;
     }
   }

@@ -2,6 +2,7 @@
 #define ORCASTREAM_ORCA_GRAPH_VIEW_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,11 @@ namespace orcastream::orca {
 /// physical deployment (operator → PE → host). The ORCA logic queries it
 /// with event contexts to disambiguate the two views, e.g. "which other
 /// operators are in the same operating system process as operator x?".
+///
+/// Job records are immutable once AddJob has built them and are held by
+/// shared ownership, so copying a GraphView (what every published
+/// OrcaSnapshot does) costs one pointer copy per job, and a copy keeps the
+/// records it saw alive after RemoveJob on the original.
 class GraphView {
  public:
   /// Snapshot of one managed job.
@@ -80,7 +86,7 @@ class GraphView {
  private:
   const JobRecord* FindJobOrNull(common::JobId job) const;
 
-  std::map<common::JobId, JobRecord> jobs_;
+  std::map<common::JobId, std::shared_ptr<const JobRecord>> jobs_;
 };
 
 }  // namespace orcastream::orca

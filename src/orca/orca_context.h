@@ -21,16 +21,18 @@ class EventBus;
 class OrcaService;
 
 /// Read-only view of the ORCA service state backing OrcaContext queries on
-/// worker-thread deliveries. Captured copy-on-write on the simulation
-/// thread whenever the service mutates its graph/application state, and
-/// pinned by each delivery at dispatch — every read a handler performs
-/// during one delivery observes the same consistent state, even while the
-/// simulation thread keeps mutating the live structures.
+/// worker-thread deliveries. Republished on the simulation thread by every
+/// mutation of state it exposes (job added or removed, an app's job or GC
+/// state, the pull period), and pinned by each delivery at dispatch —
+/// every read a handler performs during one delivery observes the same
+/// consistent state, even while the simulation thread keeps mutating the
+/// live structures.
 struct OrcaSnapshot {
   // (The delivery's clock is pinned separately, from the service's
-  // atomic publication clock — rebuilding the whole snapshot just to
-  // advance time would put a graph copy on every publish path.)
+  // atomic publication clock: publishing an event or applying staged
+  // actuations advances that clock without republishing the snapshot.)
   double metric_pull_period = 15.0;
+  /// Shares the live graph's immutable job records (one pointer per job).
   GraphView graph;
   struct AppInfo {
     std::optional<common::JobId> job;

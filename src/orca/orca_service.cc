@@ -254,7 +254,9 @@ size_t OrcaService::ApplyStagedActuations() {
       }
     }
   }
-  if (applied > 0) RefreshSnapshot();
+  // Every actuation that changes snapshot-visible state republished it
+  // itself; the apply only advances the staged clock.
+  if (applied > 0) TouchStagedClock();
   return applied;
 }
 
@@ -410,15 +412,18 @@ Status OrcaService::SubmitApplicationImpl(const std::string& config_id) {
   // Resurrect any member enqueued for cancellation: it is immediately
   // removed from the cancellation queue, avoiding an unnecessary
   // application restart (§4.4).
+  bool resurrected = false;
   for (const auto& member : closure) {
     AppState* member_state = FindApp(member);
     if (member_state != nullptr && member_state->gc_pending) {
       sim_->Cancel(member_state->gc_event);
       member_state->gc_pending = false;
+      resurrected = true;
       ORCA_LOG(kInfo) << "resurrected '" << member
                       << "' from the cancellation queue";
     }
   }
+  if (resurrected) RefreshSnapshot();
   // Start the application submission thread (§4.4).
   sim_->ScheduleAfter(0, [this, closure = std::move(closure)]() mutable {
     ContinueSubmission(std::move(closure));
@@ -582,6 +587,7 @@ void OrcaService::MaybeScheduleGc(const std::string& config_id) {
         AppState* state = FindApp(config_id);
         if (state == nullptr || !state->gc_pending) return;
         state->gc_pending = false;
+        RefreshSnapshot();
         if (!GcEligible(*state)) return;  // reused meanwhile
         Status status = DoCancel(state);
         if (!status.ok()) {

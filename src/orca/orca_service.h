@@ -469,12 +469,13 @@ class OrcaService : private runtime::EventSink {
   sim::SimTime StagedClock() const {
     return staged_clock_.load(std::memory_order_relaxed);
   }
-  /// Rebuilds the snapshot from live state; called on the simulation
-  /// thread after every state mutation (no-op outside wall-clock
-  /// dispatch).
+  /// Republishes the snapshot from live state; called on the simulation
+  /// thread by every mutation of state the snapshot exposes (no-op
+  /// outside wall-clock dispatch). Job records are shared, not copied.
   void RefreshSnapshot();
-  /// Publication paths mutate no graph/app state, so they only advance
-  /// the staged clock — a relaxed atomic store, not a snapshot rebuild.
+  /// Publication paths and staged applies mutate no snapshot-visible
+  /// state themselves (the actuations that do republish), so they only
+  /// advance the staged clock — a relaxed atomic store.
   void TouchStagedClock();
   /// Worker-side: appends one delivery's ordered actuation batch to the
   /// commit mailbox (drained by ApplyStagedActuations on the sim thread).
@@ -544,7 +545,8 @@ class OrcaService : private runtime::EventSink {
   std::map<common::TimerId, TimerState> timers_;
 
   /// Wall-clock dispatch only: the current consistent read view served to
-  /// staged deliveries, swapped copy-on-write on the simulation thread.
+  /// staged deliveries, swapped on the simulation thread at every
+  /// snapshot-visible mutation; job records are shared with graph_.
   mutable common::Mutex snapshot_mu_;
   std::shared_ptr<const OrcaSnapshot> snapshot_ ORCA_GUARDED_BY(snapshot_mu_);
   /// The staged deliveries' clock (see StagedClock).

@@ -1273,5 +1273,150 @@ TEST(ThreadPoolServiceTest, ServiceDeliversAndDrainsOnShutdown) {
   EXPECT_EQ(service.queue_depth() + service.events_delivered(), 501u);
 }
 
+// --- ThreadPool: snapshot sharing and lifetime -----------------------------
+
+/// What worker handlers read from their delivery snapshots. Handlers bump
+/// `probes` last, so the simulation thread reads the other fields after
+/// seeing it advance.
+struct GraphProbe {
+  common::JobId job;
+  common::PeId pe;
+  std::atomic<const GraphView::JobRecord*> record{nullptr};
+  std::atomic<int> jobs_seen{-1};
+  std::atomic<bool> running_seen{false};
+  std::atomic<bool> staged_ok{true};
+  // Hold handshake: the worker pins a record, then waits for `released`.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> released{false};
+  std::atomic<size_t> held_pes{0};
+  std::string held_app_name;  // written by the worker before `probes`
+  std::atomic<int> probes{0};
+};
+
+class GraphProbeLogic : public Orchestrator {
+ public:
+  explicit GraphProbeLogic(GraphProbe* probe) : probe_(probe) {}
+  void HandleOrcaStart(OrcaContext&, const OrcaStartContext&) override {}
+  void HandleUserEvent(OrcaContext& orca, const UserEventContext& context,
+                       const std::vector<std::string>&) override {
+    const GraphView::JobRecord* record = orca.graph().FindJob(probe_->job);
+    probe_->record = record;
+    probe_->jobs_seen = static_cast<int>(orca.graph().jobs().size());
+    probe_->running_seen = orca.IsRunning("app");
+    if (context.name == "restart" && !orca.RestartPe(probe_->pe).ok()) {
+      probe_->staged_ok = false;
+    }
+    if (context.name == "hold" && record != nullptr) {
+      probe_->holding = true;
+      while (!probe_->released) std::this_thread::yield();
+      // The job was cancelled meanwhile; the pinned snapshot keeps its
+      // record alive (ASan would flag a freed one).
+      probe_->held_app_name = record->app_name;
+      probe_->held_pes = record->pes.size();
+    }
+    ++probe_->probes;
+  }
+
+ private:
+  GraphProbe* probe_;
+};
+
+/// A ThreadPool service with one registered app ("app") and the probing
+/// logic loaded.
+class SnapshotSharingTest : public ::testing::Test {
+ protected:
+  SnapshotSharingTest() : cluster_(2) {
+    OrcaService::Config config;
+    config.dispatch_threads = 2;
+    service_ = std::make_unique<OrcaService>(&cluster_.sim(), &cluster_.sam(),
+                                             &cluster_.srm(), config);
+    service_->RegisterEventScope(UserEventScope("user"));
+    AppBuilder builder("App");
+    builder.AddOperator("src", "Beacon").Output("raw").Param("period", 1.0);
+    builder.AddOperator("snk", "NullSink").Input("raw");
+    AppConfig app_config;
+    app_config.id = "app";
+    app_config.application_name = "App";
+    EXPECT_TRUE(
+        service_->RegisterApplication(app_config, *builder.Build()).ok());
+    EXPECT_TRUE(
+        service_->Load(std::make_unique<GraphProbeLogic>(&probe_)).ok());
+  }
+
+  /// Submits "app" from the simulation thread and records its job/PE.
+  void SubmitApp() {
+    ASSERT_TRUE(service_->SubmitApplication("app").ok());
+    cluster_.sim().RunFor(1.0);
+    ASSERT_TRUE(service_->IsRunning("app"));
+    probe_.job = service_->RunningJob("app").value();
+    probe_.pe = service_->graph().FindJob(probe_.job)->pes.front().id;
+  }
+
+  /// Delivers one user event to a worker and waits for its handler.
+  void Probe(const std::string& name) {
+    int before = probe_.probes.load();
+    service_->InjectUserEvent(name);
+    while (probe_.probes.load() == before) std::this_thread::yield();
+  }
+
+  ClusterHarness cluster_;
+  GraphProbe probe_;
+  std::unique_ptr<OrcaService> service_;
+};
+
+/// A staged RestartPe changes no snapshot-visible state: the deliveries
+/// before and after its apply read the very record the live graph holds.
+TEST_F(SnapshotSharingTest, StagedRestartKeepsTheSharedJobRecord) {
+  SubmitApp();
+  const GraphView::JobRecord* live = service_->graph().FindJob(probe_.job);
+  ASSERT_TRUE(cluster_.sam().KillPe(probe_.pe, "test").ok());
+  ASSERT_FALSE(cluster_.sam().FindPe(probe_.pe)->running());
+
+  Probe("restart");
+  const GraphView::JobRecord* before_apply = probe_.record.load();
+  // The batch reaches the mailbox when the handler's delivery commits.
+  while (service_->staged_actuations_pending() == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(service_->ApplyStagedActuations(), 1u);
+  EXPECT_TRUE(probe_.staged_ok.load());
+  EXPECT_TRUE(cluster_.sam().FindPe(probe_.pe)->running());
+
+  Probe("after");
+  EXPECT_EQ(before_apply, live);
+  EXPECT_EQ(probe_.record.load(), live);
+}
+
+/// Submission and cancellation republish: the job set a worker reads
+/// follows them, and a worker pinned to an older snapshot still reads a
+/// job cancelled after it was published.
+TEST_F(SnapshotSharingTest, JobSetFollowsSubmitAndCancel) {
+  Probe("empty");
+  EXPECT_EQ(probe_.jobs_seen.load(), 0);
+  EXPECT_FALSE(probe_.running_seen.load());
+
+  SubmitApp();
+  Probe("submitted");
+  EXPECT_EQ(probe_.jobs_seen.load(), 1);
+  EXPECT_TRUE(probe_.running_seen.load());
+  EXPECT_EQ(probe_.record.load(), service_->graph().FindJob(probe_.job));
+
+  const size_t pes = service_->graph().FindJob(probe_.job)->pes.size();
+  int before = probe_.probes.load();
+  service_->InjectUserEvent("hold");
+  while (!probe_.holding.load()) std::this_thread::yield();
+  ASSERT_TRUE(service_->CancelApplication("app").ok());
+  EXPECT_FALSE(service_->graph().HasJob(probe_.job));
+  probe_.released = true;
+  while (probe_.probes.load() == before) std::this_thread::yield();
+  EXPECT_EQ(probe_.held_app_name, "App");
+  EXPECT_EQ(probe_.held_pes.load(), pes);
+
+  Probe("cancelled");
+  EXPECT_EQ(probe_.jobs_seen.load(), 0);
+  EXPECT_EQ(probe_.record.load(), nullptr);
+  EXPECT_FALSE(probe_.running_seen.load());
+}
+
 }  // namespace
 }  // namespace orcastream::orca

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "orca/dependency_graph.h"
 #include "orca/orca_service.h"
 #include "tests/test_util.h"
@@ -269,6 +272,98 @@ TEST_F(Figure7Test, DuplicateRegistrationRejected) {
   config.application_name = "fbApp";
   EXPECT_TRUE(service_->RegisterApplication(config, TinyApp("fbApp"))
                   .IsAlreadyExists());
+}
+
+// --- GC state as worker handlers read it (ThreadPool dispatch) ---------------
+
+/// Worker handlers read GC state from their delivery snapshot, so every
+/// change to it must republish. The probe handler reports what a worker
+/// sees for `feeder`; `probes` advances last.
+struct GcProbe {
+  std::atomic<bool> pending{false};
+  std::atomic<int> probes{0};
+};
+
+class GcProbeLogic : public Orchestrator {
+ public:
+  explicit GcProbeLogic(GcProbe* probe) : probe_(probe) {}
+  void HandleOrcaStart(OrcaContext&, const OrcaStartContext&) override {}
+  void HandleUserEvent(OrcaContext& orca, const UserEventContext&,
+                       const std::vector<std::string>&) override {
+    probe_->pending = orca.IsGcPending("feeder");
+    ++probe_->probes;
+  }
+
+ private:
+  GcProbe* probe_;
+};
+
+/// `dependent` and `late` may use `feeder`; only `dependent` declares it
+/// up front. Nothing else publishes, so the only snapshot republishes are
+/// the ones the GC state changes themselves make.
+class GcSnapshotTest : public ::testing::Test {
+ protected:
+  GcSnapshotTest() : cluster_(3) {
+    OrcaService::Config config;
+    config.dispatch_threads = 2;
+    service_ = std::make_unique<OrcaService>(&cluster_.sim(), &cluster_.sam(),
+                                             &cluster_.srm(), config);
+    service_->RegisterEventScope(UserEventScope("user"));
+    for (const char* id : {"feeder", "dependent", "late"}) {
+      AppConfig app;
+      app.id = id;
+      app.application_name = std::string(id) + "App";
+      app.garbage_collectable = true;
+      app.gc_timeout_seconds = 10;
+      EXPECT_TRUE(
+          service_->RegisterApplication(app, TinyApp(app.application_name))
+              .ok());
+    }
+    EXPECT_TRUE(service_->RegisterDependency("dependent", "feeder", 0).ok());
+    EXPECT_TRUE(
+        service_->Load(std::make_unique<GcProbeLogic>(&probe_)).ok());
+    // Queue `feeder` for GC: run `dependent`, then cancel it.
+    EXPECT_TRUE(service_->SubmitApplication("dependent").ok());
+    EXPECT_TRUE(service_->SubmitApplication("late").ok());
+    cluster_.sim().RunUntil(5);
+    EXPECT_TRUE(service_->CancelApplication("dependent").ok());
+    EXPECT_TRUE(service_->IsGcPending("feeder"));
+  }
+
+  /// What a worker handler delivered now reads for IsGcPending(feeder).
+  bool WorkerSeesGcPending() {
+    int before = probe_.probes.load();
+    service_->InjectUserEvent("probe");
+    while (probe_.probes.load() == before) std::this_thread::yield();
+    return probe_.pending.load();
+  }
+
+  ClusterHarness cluster_;
+  GcProbe probe_;
+  std::unique_ptr<OrcaService> service_;
+};
+
+TEST_F(GcSnapshotTest, ResurrectionRepublishesBeforeTheSubmissionRuns) {
+  EXPECT_TRUE(WorkerSeesGcPending());
+  // Resubmitting the dependent resurrects its feeder at once; the
+  // submission itself only runs when the simulation advances.
+  ASSERT_TRUE(service_->SubmitApplication("dependent").ok());
+  EXPECT_FALSE(service_->IsGcPending("feeder"));
+  EXPECT_FALSE(WorkerSeesGcPending());
+  cluster_.sim().RunUntil(30);
+  EXPECT_TRUE(service_->IsRunning("dependent"));
+  EXPECT_TRUE(service_->IsRunning("feeder"));
+}
+
+TEST_F(GcSnapshotTest, GcTimerFindingTheFeederReusedRepublishes) {
+  EXPECT_TRUE(WorkerSeesGcPending());
+  // A running app starts using the feeder without resubmitting anything,
+  // so the GC timer finds it in use and only clears the pending flag.
+  ASSERT_TRUE(service_->RegisterDependency("late", "feeder", 0).ok());
+  cluster_.sim().RunUntil(30);
+  EXPECT_TRUE(service_->IsRunning("feeder"));
+  EXPECT_FALSE(service_->IsGcPending("feeder"));
+  EXPECT_FALSE(WorkerSeesGcPending());
 }
 
 }  // namespace

@@ -128,6 +128,24 @@ TEST_F(GraphViewTest, UnknownJobIsError) {
   EXPECT_FALSE(view_.HasJob(JobId(999)));
 }
 
+TEST_F(GraphViewTest, CopiesShareJobRecordsAndOutliveRemoval) {
+  const GraphView::JobRecord* record = view_.FindJob(job_);
+  ASSERT_NE(record, nullptr);
+  const std::string app_name = record->app_name;
+  const PeId pe = record->pes.front().id;
+  GraphView copy = view_;
+  // A copy shares the immutable record instead of copying it.
+  EXPECT_EQ(copy.FindJob(job_), record);
+  EXPECT_EQ(copy.jobs(), view_.jobs());
+  // Removing the job from the original leaves the copy's record intact.
+  view_.RemoveJob(job_);
+  EXPECT_FALSE(view_.HasJob(job_));
+  ASSERT_TRUE(copy.HasJob(job_));
+  EXPECT_EQ(copy.FindJob(job_)->app_name, app_name);
+  EXPECT_TRUE(copy.HostOfPe(pe).ok());
+  EXPECT_TRUE(copy.PeOfOperator(job_, "op1").ok());
+}
+
 TEST_F(GraphViewTest, RemoveJobForgetsEverything) {
   view_.RemoveJob(job_);
   EXPECT_FALSE(view_.HasJob(job_));
