@@ -257,7 +257,7 @@ void BM_RegistryChurnLinear(benchmark::State& state) {
   RegistryChurnLoop<false>(state);
 }
 
-// --- Sharded registry: one multi-app SRM round, matched shard-parallel ------
+// --- Sharded registry: one multi-app SRM round, matched as one batch -------
 
 constexpr int kShardedApps = 8;
 
@@ -300,20 +300,14 @@ std::vector<orca::OperatorMetricContext> MakeShardedSamples(int samples,
   return contexts;
 }
 
-/// Sharded path: the whole round batched through the shard-parallel
-/// matcher (the path EventBus::PublishMetricsSnapshot takes for a
-/// ShardedScopeRegistry).
+/// Sharded path: the whole round batched through the sharded registry on
+/// the calling thread (the matcher EventBus::PublishMetricsSnapshot
+/// calls). The shard count changes only how many applications share one
+/// shard's indexes.
 void BM_ShardedSnapshot(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   const int scopes = static_cast<int>(state.range(1));
   orca::ShardedScopeRegistry registry(static_cast<size_t>(shards));
-  // Force the shard-parallel gate open (config-driven; the default derives
-  // max_workers from detected cores and keeps single-core hosts serial, which
-  // made this curve flat across shard counts). The bench measures the real
-  // parallel path everywhere; it only *scales* where cores exist.
-  orca::ShardedScopeRegistry::ParallelPolicy parallel;
-  parallel.max_workers = static_cast<size_t>(shards);
-  registry.set_parallel_policy(parallel);
   for (int i = 0; i < scopes; ++i) {
     registry.Register(MakeShardedScope(i, scopes));
   }
@@ -381,7 +375,7 @@ BENCHMARK(BM_RegistryChurnIndexed)->Args({1000, 10000});
 BENCHMARK(BM_RegistryChurnLinear)->Args({1000, 10000});
 
 // Args: {shards, registered subscopes, samples per SRM round}. One whole
-// multi-app round matched shard-parallel vs the linear scan over the same
+// multi-app round matched as one batch vs the linear scan over the same
 // population; the 4-shard case is the `scope_matching_sharded` target
 // tracked in BENCH_event_routing.json (≥5× over linear required).
 BENCHMARK(BM_ShardedSnapshot)

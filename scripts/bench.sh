@@ -174,9 +174,9 @@ if run_scope:
         "required_speedup": 5.0,
     }
     # One whole multi-app SRM round (8 apps, 1k subscopes x 10k samples)
-    # matched through ShardedScopeRegistry with the shard-parallel gate
-    # forced open (config-driven ParallelPolicy), vs the linear scan over
-    # the same subscope population. The 4-shard case is gated.
+    # matched through ShardedScopeRegistry on the calling thread, vs the
+    # linear scan over the same subscope population. The 4-shard case is
+    # gated.
     result["scope_matching_sharded"] = {
         "sharded_items_per_second": {
             f"shards_{n}": value for n, value in sharded.items()

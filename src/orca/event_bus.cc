@@ -1,7 +1,6 @@
 #include "orca/event_bus.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -24,21 +23,24 @@ struct ThreadDelivery {
 };
 thread_local ThreadDelivery tls_delivery;
 
-/// Context construction shared by the single-registry and sharded
-/// snapshot paths (field-for-field identical so the two event streams
-/// stay byte-identical). Returns nullopt for samples of unmanaged jobs.
-std::optional<OperatorMetricContext> BuildMetricContext(
-    const runtime::OperatorMetricRecord& rec, int64_t epoch,
-    sim::SimTime collected_at, const GraphView& graph) {
-  const GraphView::JobRecord* job_record = graph.FindJob(rec.job);
-  if (job_record == nullptr) return std::nullopt;
+/// Stands in for the kind of an operator the job's model does not hold.
+const std::string& NoOperatorKind() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
+/// Owned contexts for the samples that crossed a scope, built from the
+/// snapshot record and the fields its view already resolved.
+OperatorMetricContext MakeMetricContext(
+    const runtime::OperatorMetricRecord& rec,
+    const OperatorMetricSample& sample, int64_t epoch,
+    sim::SimTime collected_at) {
   OperatorMetricContext context;
   context.job = rec.job;
-  context.application = job_record->app_name;
+  context.application = sample.application;
   context.pe = rec.pe;
   context.instance_name = rec.operator_name;
-  auto kind = graph.OperatorKind(rec.job, rec.operator_name);
-  context.operator_kind = kind.ok() ? kind.value() : "";
+  context.operator_kind = sample.operator_kind;
   context.metric = rec.metric_name;
   context.metric_kind = rec.kind;
   context.value = rec.value;
@@ -49,14 +51,12 @@ std::optional<OperatorMetricContext> BuildMetricContext(
   return context;
 }
 
-std::optional<PeMetricContext> BuildMetricContext(
-    const runtime::PeMetricRecord& rec, int64_t epoch,
-    sim::SimTime collected_at, const GraphView& graph) {
-  const GraphView::JobRecord* job_record = graph.FindJob(rec.job);
-  if (job_record == nullptr) return std::nullopt;
+PeMetricContext MakeMetricContext(const runtime::PeMetricRecord& rec,
+                                  const PeMetricSample& sample, int64_t epoch,
+                                  sim::SimTime collected_at) {
   PeMetricContext context;
   context.job = rec.job;
-  context.application = job_record->app_name;
+  context.application = sample.application;
   context.pe = rec.pe;
   context.metric = rec.metric_name;
   context.metric_kind = rec.kind;
@@ -94,49 +94,60 @@ Event MakeMetricEvent(PeMetricContext context,
   return event;
 }
 
-/// The per-sample snapshot path, shared by the operator- and PE-metric
-/// record types: build the context, match it, publish when it crossed a
-/// scope.
-template <typename Record, typename Matcher>
-void MatchAndPublish(EventBus* bus, const std::vector<Record>& records,
-                     int64_t epoch, sim::SimTime collected_at,
-                     const GraphView& graph, Matcher matcher) {
-  for (const Record& rec : records) {
-    auto context = BuildMetricContext(rec, epoch, collected_at, graph);
-    if (!context.has_value()) continue;
-    std::vector<std::string> matched = matcher(*context);
-    if (matched.empty()) continue;
-    bus->Publish(MakeMetricEvent(std::move(*context), std::move(matched)));
+/// Borrowed views of one record type's samples, skipping unmanaged jobs
+/// (one FindJob — and for operator samples one FindOperator — per
+/// record). `records[i]` is the snapshot record behind `views[i]`.
+template <typename Record, typename Sample>
+struct SampleBatch {
+  std::vector<const Record*> records;
+  std::vector<Sample> views;
+};
+
+SampleBatch<runtime::OperatorMetricRecord, OperatorMetricSample> ViewSamples(
+    const std::vector<runtime::OperatorMetricRecord>& records,
+    const GraphView& graph) {
+  SampleBatch<runtime::OperatorMetricRecord, OperatorMetricSample> batch;
+  batch.records.reserve(records.size());
+  batch.views.reserve(records.size());
+  for (const runtime::OperatorMetricRecord& rec : records) {
+    const GraphView::JobRecord* job = graph.FindJob(rec.job);
+    if (job == nullptr) continue;
+    const topology::OperatorDef* op = job->model.FindOperator(rec.operator_name);
+    batch.records.push_back(&rec);
+    batch.views.push_back({rec.job, job->app_name, rec.operator_name,
+                           op != nullptr ? op->kind : NoOperatorKind(),
+                           rec.metric_name, rec.kind, rec.port});
   }
+  return batch;
 }
 
-/// Batch phase 1 (sharded path): every sample's context up front (cheap
-/// graph lookups), so the whole round can be matched in one
-/// shard-parallel batch.
-template <typename Record>
-auto BuildContextBatch(const std::vector<Record>& records, int64_t epoch,
-                       sim::SimTime collected_at, const GraphView& graph) {
-  using Context = typename decltype(BuildMetricContext(
-      records.front(), epoch, collected_at, graph))::value_type;
-  std::vector<Context> contexts;
-  contexts.reserve(records.size());
-  for (const Record& rec : records) {
-    auto context = BuildMetricContext(rec, epoch, collected_at, graph);
-    if (context.has_value()) contexts.push_back(std::move(*context));
+SampleBatch<runtime::PeMetricRecord, PeMetricSample> ViewSamples(
+    const std::vector<runtime::PeMetricRecord>& records,
+    const GraphView& graph) {
+  SampleBatch<runtime::PeMetricRecord, PeMetricSample> batch;
+  batch.records.reserve(records.size());
+  batch.views.reserve(records.size());
+  for (const runtime::PeMetricRecord& rec : records) {
+    const GraphView::JobRecord* job = graph.FindJob(rec.job);
+    if (job == nullptr) continue;
+    batch.records.push_back(&rec);
+    batch.views.push_back({rec.job, job->app_name, rec.pe, rec.metric_name});
   }
-  return contexts;
+  return batch;
 }
 
-/// Batch phase 3: publish serially in snapshot order — delivery order
-/// (and the whole event stream) is identical to the single-registry
-/// overload.
-template <typename Context>
-void PublishMatchedBatch(EventBus* bus, std::vector<Context>& contexts,
-                         std::vector<std::vector<std::string>>& matched) {
-  for (size_t i = 0; i < contexts.size(); ++i) {
+/// Appends one event per sample that crossed a scope, in snapshot order,
+/// each with an owned context.
+template <typename Record, typename Sample>
+void AppendHits(const SampleBatch<Record, Sample>& batch,
+                std::vector<std::vector<std::string>>& matched, int64_t epoch,
+                sim::SimTime collected_at, std::vector<Event>* events) {
+  for (size_t i = 0; i < batch.views.size(); ++i) {
     if (matched[i].empty()) continue;
-    bus->Publish(MakeMetricEvent(std::move(contexts[i]),
-                                 std::move(matched[i])));
+    events->push_back(MakeMetricEvent(
+        MakeMetricContext(*batch.records[i], batch.views[i], epoch,
+                          collected_at),
+        std::move(matched[i])));
   }
 }
 
@@ -548,34 +559,20 @@ double EventBus::AppQueueBacklogAge(const std::string& application) const {
 
 void EventBus::PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
                                       int64_t epoch,
-                                      const ScopeRegistry& registry,
-                                      const GraphView& graph) {
-  MatchAndPublish(this, snapshot.operator_metrics, epoch,
-                  snapshot.collected_at, graph,
-                  [&](const OperatorMetricContext& context) {
-                    return registry.MatchedKeys(context, graph);
-                  });
-  MatchAndPublish(this, snapshot.pe_metrics, epoch, snapshot.collected_at,
-                  graph, [&](const PeMetricContext& context) {
-                    return registry.MatchedKeys(context);
-                  });
-}
-
-void EventBus::PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
-                                      int64_t epoch,
                                       const ShardedScopeRegistry& registry,
                                       const GraphView& graph) {
-  // Phase 1: build every sample's context up front; phase 2: match
-  // shard-parallel (threads never touch the bus); phase 3: publish
-  // serially in snapshot order.
-  auto op_contexts = BuildContextBatch(snapshot.operator_metrics, epoch,
-                                       snapshot.collected_at, graph);
-  auto pe_contexts = BuildContextBatch(snapshot.pe_metrics, epoch,
-                                       snapshot.collected_at, graph);
-  auto op_matched = registry.MatchOperatorMetricBatch(op_contexts, graph);
-  auto pe_matched = registry.MatchPeMetricBatch(pe_contexts);
-  PublishMatchedBatch(this, op_contexts, op_matched);
-  PublishMatchedBatch(this, pe_contexts, pe_matched);
+  // Match the whole round through borrowed views, then build owned
+  // contexts for the hits only. Every event is built before the first
+  // Publish: the views point into the snapshot and the graph view's job
+  // records, which a delivery may outlive.
+  auto op_samples = ViewSamples(snapshot.operator_metrics, graph);
+  auto pe_samples = ViewSamples(snapshot.pe_metrics, graph);
+  auto op_matched = registry.MatchOperatorMetricBatch(op_samples.views, graph);
+  auto pe_matched = registry.MatchPeMetricBatch(pe_samples.views);
+  std::vector<Event> events;
+  AppendHits(op_samples, op_matched, epoch, snapshot.collected_at, &events);
+  AppendHits(pe_samples, pe_matched, epoch, snapshot.collected_at, &events);
+  for (Event& event : events) Publish(std::move(event));
 }
 
 void EventBus::JournalActuation(const std::string& description) {

@@ -17,7 +17,6 @@
 #include "orca/events.h"
 #include "orca/graph_view.h"
 #include "orca/orchestrator.h"
-#include "orca/scope_registry.h"
 #include "orca/transaction_log.h"
 #include "runtime/metrics.h"
 #include "sim/simulation.h"
@@ -193,17 +192,11 @@ class EventBus {
   void PublishFront(Event event);
 
   /// Routes one SRM snapshot through the registry in a single pass (§4.2):
-  /// builds the metric contexts against the graph view, matches each
-  /// sample, and publishes an event per sample that crossed the scope.
-  /// `epoch` is the logical clock of the pull round.
-  void PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
-                              int64_t epoch, const ScopeRegistry& registry,
-                              const GraphView& graph);
-
-  /// Same contract against a sharded registry: the snapshot's samples are
-  /// matched shard-parallel (bucketed by owning application shard), then
-  /// published serially in snapshot order — the resulting event stream is
-  /// byte-identical to the single-registry overload's.
+  /// matches every sample through a borrowed view of the snapshot record
+  /// and the graph view, then publishes an event with an owned context
+  /// per sample that crossed a scope — operator samples first, then PE
+  /// samples, each in snapshot order. Samples of unmanaged jobs are
+  /// skipped. `epoch` is the logical clock of the pull round.
   void PublishMetricsSnapshot(const runtime::MetricsSnapshot& snapshot,
                               int64_t epoch,
                               const ShardedScopeRegistry& registry,

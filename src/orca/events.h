@@ -57,6 +57,43 @@ struct PeMetricContext {
   sim::SimTime collected_at = 0;
 };
 
+/// Borrowed views of a metric sample: only the fields subscope matching
+/// reads, referring into storage someone else owns — an SRM snapshot
+/// record and the graph view's JobRecord on the snapshot path, or a
+/// context (SampleOf). A snapshot round matches every sample through a
+/// view and builds an owned context only for the samples that hit a
+/// subscope. A view must not outlive what it refers to.
+struct OperatorMetricSample {
+  common::JobId job;
+  const std::string& application;
+  const std::string& instance_name;
+  const std::string& operator_kind;
+  const std::string& metric;
+  runtime::MetricKind metric_kind;
+  int32_t port;
+};
+
+struct PeMetricSample {
+  common::JobId job;
+  const std::string& application;
+  common::PeId pe;
+  const std::string& metric;
+};
+
+inline OperatorMetricSample SampleOf(const OperatorMetricContext& context) {
+  return {context.job,           context.application, context.instance_name,
+          context.operator_kind, context.metric,      context.metric_kind,
+          context.port};
+}
+
+inline PeMetricSample SampleOf(const PeMetricContext& context) {
+  return {context.job, context.application, context.pe, context.metric};
+}
+
+// A view of a temporary would dangle at the end of the full expression.
+OperatorMetricSample SampleOf(OperatorMetricContext&&) = delete;
+PeMetricSample SampleOf(PeMetricContext&&) = delete;
+
 /// A PE failure notification (§4.2): pushed by SAM with the PE id,
 /// detection timestamp and crash reason. The epoch groups failure events
 /// stemming from the same physical incident (e.g. one host failure

@@ -67,10 +67,6 @@ OrcaService::OrcaService(sim::Simulation* sim, runtime::Sam* sam,
   reshard.min_matches = config_.reshard_min_matches;
   scopes_.set_reshard_policy(reshard);
   scopes_.set_max_shards(config_.max_scope_shards);
-  ShardedScopeRegistry::ParallelPolicy parallel;
-  parallel.min_samples = config_.parallel_match_min_samples;
-  parallel.min_busy_shards = config_.parallel_match_min_busy_shards;
-  scopes_.set_parallel_policy(parallel);
   scopes_.set_predicate_planner(config_.predicate_planner);
   RefreshSnapshot();
 }

@@ -66,7 +66,9 @@ class OrcaService : private runtime::EventSink {
     /// Number of per-application ScopeRegistry shards the service
     /// partitions its subscopes across (see ShardedScopeRegistry; clamped
     /// to at least 1). Match results are independent of the setting; it
-    /// controls how far SRM snapshot matching can parallelize.
+    /// only sets how many applications share one shard's indexes (each
+    /// lookup consults one shard plus the residual shard, on the calling
+    /// thread).
     size_t scope_shards = 4;
     /// Async event dispatch: 0 (default) keeps the serial one-at-a-time
     /// delivery queue; N > 0 installs a ThreadPoolExecutor with N workers
@@ -110,11 +112,6 @@ class OrcaService : private runtime::EventSink {
     /// scope_shards; splitting then only rebalances across existing
     /// shards).
     size_t max_scope_shards = 0;
-    /// Shard-parallel snapshot matching gates (see
-    /// ShardedScopeRegistry::ParallelPolicy): minimum samples per round
-    /// and minimum busy shards before worker threads are spawned.
-    size_t parallel_match_min_samples = 64;
-    size_t parallel_match_min_busy_shards = 2;
     /// Predicate planner (src/plan/): compile each registered predicate
     /// shape into an ordered intersection plan over the live-cardinality
     /// posting indexes instead of the fixed metric→application merge.

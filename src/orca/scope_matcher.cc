@@ -30,10 +30,10 @@ bool DisjunctAny(const std::vector<std::string>& filter,
 }  // namespace
 
 bool MatchOperatorMetric(const OperatorMetricScope& scope,
-                         const OperatorMetricContext& context,
+                         const OperatorMetricSample& sample,
                          const GraphView& graph) {
   // Port-level vs operator-level samples.
-  bool is_port_sample = context.port >= 0;
+  bool is_port_sample = sample.port >= 0;
   switch (scope.port_scope()) {
     case OperatorMetricScope::PortScope::kOperatorLevel:
       if (is_port_sample) return false;
@@ -45,23 +45,23 @@ bool MatchOperatorMetric(const OperatorMetricScope& scope,
       break;
   }
 
-  if (!Disjunct(scope.applications(), context.application)) return false;
-  if (!Disjunct(scope.operator_names(), context.instance_name)) return false;
-  if (!Disjunct(scope.metric_names(), context.metric)) return false;
-  if (scope.has_kind_filter() && scope.metric_kind() != context.metric_kind) {
+  if (!Disjunct(scope.applications(), sample.application)) return false;
+  if (!Disjunct(scope.operator_names(), sample.instance_name)) return false;
+  if (!Disjunct(scope.metric_names(), sample.metric)) return false;
+  if (scope.has_kind_filter() && scope.metric_kind() != sample.metric_kind) {
     return false;
   }
-  if (!Disjunct(scope.operator_types(), context.operator_kind)) return false;
+  if (!Disjunct(scope.operator_types(), sample.operator_kind)) return false;
 
   if (!scope.composite_types().empty() ||
       !scope.composite_instances().empty()) {
-    auto chain = graph.EnclosingComposites(context.job, context.instance_name);
+    auto chain = graph.EnclosingComposites(sample.job, sample.instance_name);
     if (!chain.ok()) return false;
     if (!DisjunctAny(scope.composite_instances(), chain.value())) return false;
     if (!scope.composite_types().empty()) {
       std::vector<std::string> kinds;
       for (const auto& instance : chain.value()) {
-        auto kind = graph.CompositeKind(context.job, instance);
+        auto kind = graph.CompositeKind(sample.job, instance);
         if (kind.ok()) kinds.push_back(kind.value());
       }
       if (!DisjunctAny(scope.composite_types(), kinds)) return false;
@@ -70,16 +70,26 @@ bool MatchOperatorMetric(const OperatorMetricScope& scope,
   return true;
 }
 
-bool MatchPeMetric(const PeMetricScope& scope,
-                   const PeMetricContext& context) {
-  if (!Disjunct(scope.applications(), context.application)) return false;
-  if (!Disjunct(scope.metric_names(), context.metric)) return false;
+bool MatchOperatorMetric(const OperatorMetricScope& scope,
+                         const OperatorMetricContext& context,
+                         const GraphView& graph) {
+  return MatchOperatorMetric(scope, SampleOf(context), graph);
+}
+
+bool MatchPeMetric(const PeMetricScope& scope, const PeMetricSample& sample) {
+  if (!Disjunct(scope.applications(), sample.application)) return false;
+  if (!Disjunct(scope.metric_names(), sample.metric)) return false;
   if (!scope.pes().empty() &&
-      std::find(scope.pes().begin(), scope.pes().end(), context.pe) ==
+      std::find(scope.pes().begin(), scope.pes().end(), sample.pe) ==
           scope.pes().end()) {
     return false;
   }
   return true;
+}
+
+bool MatchPeMetric(const PeMetricScope& scope,
+                   const PeMetricContext& context) {
+  return MatchPeMetric(scope, SampleOf(context));
 }
 
 bool MatchPeFailure(const PeFailureScope& scope,

@@ -14,10 +14,16 @@ namespace orcastream::orca {
 /// needing a recursive query; `baseline::SqlScopeEval` reproduces that
 /// formulation and the property tests check both agree).
 
+/// The metric matchers read a borrowed sample view; the context
+/// overloads adapt through SampleOf.
+bool MatchOperatorMetric(const OperatorMetricScope& scope,
+                         const OperatorMetricSample& sample,
+                         const GraphView& graph);
 bool MatchOperatorMetric(const OperatorMetricScope& scope,
                          const OperatorMetricContext& context,
                          const GraphView& graph);
 
+bool MatchPeMetric(const PeMetricScope& scope, const PeMetricSample& sample);
 bool MatchPeMetric(const PeMetricScope& scope, const PeMetricContext& context);
 
 bool MatchPeFailure(const PeFailureScope& scope,

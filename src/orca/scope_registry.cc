@@ -754,14 +754,14 @@ std::vector<uint32_t> ScopeRegistry::GatherCandidates(
 // --- Indexed matching -------------------------------------------------------
 
 std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
-    const OperatorMetricContext& context, const GraphView& graph) const {
+    const OperatorMetricSample& sample, const GraphView& graph) const {
   auto match = [&](const OperatorMetricScope& scope) {
-    return MatchOperatorMetric(scope, context, graph);
+    return MatchOperatorMetric(scope, sample, graph);
   };
   if (operator_metric_plan_ != nullptr) {
     std::vector<uint32_t> candidates;
     if (operator_metric_plan_->Collect(
-            {&context.metric, &context.application, &context.instance_name},
+            {&sample.metric, &sample.application, &sample.instance_name},
             &candidates)) {
       return SeqKeysOf(operator_metric_.slots, candidates, match);
     }
@@ -769,31 +769,41 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
     // estimate, so the fixed-order merge below is the safer bet.
   }
   auto candidates = GatherCandidates(
-      {Lookup(operator_metric_by_metric_, context.metric),
-       Lookup(operator_metric_by_application_, context.application),
+      {Lookup(operator_metric_by_metric_, sample.metric),
+       Lookup(operator_metric_by_application_, sample.application),
        &operator_metric_residual_});
   return SeqKeysOf(operator_metric_.slots, candidates, match);
 }
 
 std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
-    const PeMetricContext& context) const {
+    const OperatorMetricContext& context, const GraphView& graph) const {
+  return MatchedSeqKeys(SampleOf(context), graph);
+}
+
+std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+    const PeMetricSample& sample) const {
   auto match = [&](const PeMetricScope& scope) {
-    return MatchPeMetric(scope, context);
+    return MatchPeMetric(scope, sample);
   };
   if (pe_metric_plan_ != nullptr) {
-    const std::string pe_probe = std::to_string(context.pe.value());
+    const std::string pe_probe = std::to_string(sample.pe.value());
     std::vector<uint32_t> candidates;
     if (pe_metric_plan_->Collect(
-            {&context.metric, &pe_probe, &context.application}, &candidates)) {
+            {&sample.metric, &pe_probe, &sample.application}, &candidates)) {
       return SeqKeysOf(pe_metric_.slots, candidates, match);
     }
   }
   auto candidates = GatherCandidates(
-      {Lookup(pe_metric_by_metric_, context.metric),
-       Lookup(pe_metric_by_pe_, context.pe),
-       Lookup(pe_metric_by_application_, context.application),
+      {Lookup(pe_metric_by_metric_, sample.metric),
+       Lookup(pe_metric_by_pe_, sample.pe),
+       Lookup(pe_metric_by_application_, sample.application),
        &pe_metric_residual_});
   return SeqKeysOf(pe_metric_.slots, candidates, match);
+}
+
+std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
+    const PeMetricContext& context) const {
+  return MatchedSeqKeys(SampleOf(context));
 }
 
 std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
@@ -830,13 +840,23 @@ std::vector<SeqKey> ScopeRegistry::MatchedSeqKeys(
 }
 
 std::vector<std::string> ScopeRegistry::MatchedKeys(
+    const OperatorMetricSample& sample, const GraphView& graph) const {
+  return StripSeq(MatchedSeqKeys(sample, graph));
+}
+
+std::vector<std::string> ScopeRegistry::MatchedKeys(
     const OperatorMetricContext& context, const GraphView& graph) const {
-  return StripSeq(MatchedSeqKeys(context, graph));
+  return MatchedKeys(SampleOf(context), graph);
+}
+
+std::vector<std::string> ScopeRegistry::MatchedKeys(
+    const PeMetricSample& sample) const {
+  return StripSeq(MatchedSeqKeys(sample));
 }
 
 std::vector<std::string> ScopeRegistry::MatchedKeys(
     const PeMetricContext& context) const {
-  return StripSeq(MatchedSeqKeys(context));
+  return MatchedKeys(SampleOf(context));
 }
 
 std::vector<std::string> ScopeRegistry::MatchedKeys(
@@ -857,18 +877,28 @@ std::vector<std::string> ScopeRegistry::MatchedKeys(
 // --- Linear-scan reference path ---------------------------------------------
 
 std::vector<std::string> ScopeRegistry::MatchedKeysLinear(
-    const OperatorMetricContext& context, const GraphView& graph) const {
+    const OperatorMetricSample& sample, const GraphView& graph) const {
   return KeysOfAll(operator_metric_.slots,
                    [&](const OperatorMetricScope& scope) {
-                     return MatchOperatorMetric(scope, context, graph);
+                     return MatchOperatorMetric(scope, sample, graph);
                    });
 }
 
 std::vector<std::string> ScopeRegistry::MatchedKeysLinear(
-    const PeMetricContext& context) const {
+    const OperatorMetricContext& context, const GraphView& graph) const {
+  return MatchedKeysLinear(SampleOf(context), graph);
+}
+
+std::vector<std::string> ScopeRegistry::MatchedKeysLinear(
+    const PeMetricSample& sample) const {
   return KeysOfAll(pe_metric_.slots, [&](const PeMetricScope& scope) {
-    return MatchPeMetric(scope, context);
+    return MatchPeMetric(scope, sample);
   });
+}
+
+std::vector<std::string> ScopeRegistry::MatchedKeysLinear(
+    const PeMetricContext& context) const {
+  return MatchedKeysLinear(SampleOf(context));
 }
 
 std::vector<std::string> ScopeRegistry::MatchedKeysLinear(

@@ -146,8 +146,13 @@ class ScopeRegistry {
   // --- Indexed matching (the hot path) ----------------------------------
 
   /// Keys of all live subscopes the event matches, in registration order.
+  /// Metric samples match through their borrowed views; the context
+  /// overloads adapt through SampleOf.
+  std::vector<std::string> MatchedKeys(const OperatorMetricSample& sample,
+                                       const GraphView& graph) const;
   std::vector<std::string> MatchedKeys(const OperatorMetricContext& context,
                                        const GraphView& graph) const;
+  std::vector<std::string> MatchedKeys(const PeMetricSample& sample) const;
   std::vector<std::string> MatchedKeys(const PeMetricContext& context) const;
   std::vector<std::string> MatchedKeys(const PeFailureContext& context,
                                        const GraphView& graph) const;
@@ -160,8 +165,11 @@ class ScopeRegistry {
   /// one registry is ascending sequence order). This is the shard-facing
   /// form: ShardedScopeRegistry merges one shard's result with the
   /// residual shard's by sequence to restore overall registration order.
+  std::vector<SeqKey> MatchedSeqKeys(const OperatorMetricSample& sample,
+                                     const GraphView& graph) const;
   std::vector<SeqKey> MatchedSeqKeys(const OperatorMetricContext& context,
                                      const GraphView& graph) const;
+  std::vector<SeqKey> MatchedSeqKeys(const PeMetricSample& sample) const;
   std::vector<SeqKey> MatchedSeqKeys(const PeMetricContext& context) const;
   std::vector<SeqKey> MatchedSeqKeys(const PeFailureContext& context,
                                      const GraphView& graph) const;
@@ -175,7 +183,11 @@ class ScopeRegistry {
   /// scan over every registered subscope. Kept as the equivalence oracle
   /// and the benchmark baseline.
   std::vector<std::string> MatchedKeysLinear(
+      const OperatorMetricSample& sample, const GraphView& graph) const;
+  std::vector<std::string> MatchedKeysLinear(
       const OperatorMetricContext& context, const GraphView& graph) const;
+  std::vector<std::string> MatchedKeysLinear(
+      const PeMetricSample& sample) const;
   std::vector<std::string> MatchedKeysLinear(
       const PeMetricContext& context) const;
   std::vector<std::string> MatchedKeysLinear(const PeFailureContext& context,

@@ -1,9 +1,7 @@
 #include "orca/sharded_scope_registry.h"
 
 #include <algorithm>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <utility>
 
 namespace orcastream::orca {
@@ -444,28 +442,22 @@ std::vector<std::string> ShardedScopeRegistry::MergeBySequence(
   return merged;
 }
 
-template <typename Context, typename... Args>
-std::vector<std::string> ShardedScopeRegistry::MatchOne(
-    const ScopeRegistry* owner, const Context& context, Args&&... args) const {
-  // An unassigned application has no shard-resident subscope that could
-  // match it, so the residual shard alone is the complete answer.
-  if (owner == nullptr) return residual_.MatchedKeys(context, args...);
-  return MergeBySequence(owner->MatchedSeqKeys(context, args...),
-                         residual_.MatchedSeqKeys(context, args...));
-}
-
-template <typename Context, typename... Args>
+template <typename Query, typename... Args>
 std::vector<std::string> ShardedScopeRegistry::LookupMerged(
-    const Context& context, Args&&... args) const {
-  auto it = routes_.find(context.application);
+    const Query& query, Args&&... args) const {
+  auto it = routes_.find(query.application);
   if (it == routes_.end()) {
+    // An unassigned application has no shard-resident subscope that could
+    // match it, so the residual shard alone is the complete answer.
     ++residual_matches_;
-    return MatchOne(nullptr, context, args...);
+    return residual_.MatchedKeys(query, args...);
   }
-  // Load accounting for MaybeRebalance; calling-thread only (mutable
-  // counter, no atomics — batch workers never reach this path).
+  // Load accounting for MaybeRebalance (mutable counter, no atomics —
+  // lookups run on the owning thread).
   ++it->second.matches;
-  return MatchOne(&shards_[it->second.shard], context, args...);
+  return MergeBySequence(
+      shards_[it->second.shard].MatchedSeqKeys(query, args...),
+      residual_.MatchedSeqKeys(query, args...));
 }
 
 std::vector<std::string> ShardedScopeRegistry::MatchedKeys(
@@ -498,97 +490,22 @@ std::vector<std::string> ShardedScopeRegistry::MatchedKeys(
 
 // --- Batch matching ---------------------------------------------------------
 
-template <typename Context, typename... Args>
+template <typename Query, typename... Args>
 std::vector<std::vector<std::string>> ShardedScopeRegistry::MatchBatch(
-    const std::vector<Context>& contexts, Args&&... args) const {
-  std::vector<std::vector<std::string>> results(contexts.size());
-  // Bucket the samples by owning shard; unassigned applications need only
-  // the residual shard.
-  std::vector<std::vector<size_t>> buckets(shards_.size());
-  std::vector<size_t> residual_only;
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    auto it = routes_.find(contexts[i].application);
-    if (it == routes_.end()) {
-      ++residual_matches_;
-      residual_only.push_back(i);
-    } else {
-      // Per-application load accounting happens here, on the calling
-      // thread, so batch workers never touch the counters.
-      ++it->second.matches;
-      buckets[it->second.shard].push_back(i);
-    }
-  }
-  auto run_bucket = [&](const std::vector<size_t>& bucket,
-                        const ScopeRegistry* owner) {
-    for (size_t i : bucket) {
-      results[i] = MatchOne(owner, contexts[i], args...);
-    }
-  };
-  std::vector<size_t> busy;
-  for (size_t shard = 0; shard < buckets.size(); ++shard) {
-    if (!buckets[shard].empty()) busy.push_back(shard);
-  }
-  // Threads only pay off with enough busy shards, a round big enough to
-  // amortize the spawns, and actual cores to run on; otherwise match on
-  // the calling thread (same results either way). The thresholds are
-  // policy-driven: set_parallel_policy tunes them per deployment, and a
-  // nonzero max_workers overrides the detected core count (benchmarks on
-  // constrained hosts).
-  unsigned hardware = std::thread::hardware_concurrency();
-  size_t max_workers =
-      parallel_policy_.max_workers != 0
-          ? parallel_policy_.max_workers
-          : (hardware > 1 ? static_cast<size_t>(hardware) - 1 : 0);
-  if (busy.size() >= std::max<size_t>(parallel_policy_.min_busy_shards, 2) &&
-      max_workers > 0 && contexts.size() >= parallel_policy_.min_samples) {
-    // Shard-parallel: each owner shard is touched by exactly one worker;
-    // the residual shard and the graph view are only read. Results are
-    // identical to the serial path (workers write disjoint slots).
-    // Workers are capped below the core count (the calling thread takes
-    // the residual bucket) and stride over the busy shards, so a high
-    // shard count never oversubscribes the host.
-    size_t worker_count = std::min<size_t>(busy.size(), max_workers);
-    std::vector<std::exception_ptr> worker_errors(worker_count);
-    std::vector<std::thread> workers;
-    workers.reserve(worker_count);
-    {
-      // Joins on every exit path: destroying a joinable std::thread
-      // calls std::terminate, so an exception mid-batch must still join
-      // first.
-      struct JoinGuard {
-        std::vector<std::thread>& threads;
-        ~JoinGuard() {
-          for (std::thread& thread : threads) {
-            if (thread.joinable()) thread.join();
-          }
-        }
-      } join_guard{workers};
-      for (size_t worker = 0; worker < worker_count; ++worker) {
-        workers.emplace_back([&, worker] {
-          // An exception escaping a thread body would terminate the
-          // process; capture it and rethrow on the calling thread so
-          // the parallel path fails like the serial one.
-          try {
-            for (size_t b = worker; b < busy.size(); b += worker_count) {
-              run_bucket(buckets[busy[b]], &shards_[busy[b]]);
-            }
-          } catch (...) {
-            worker_errors[worker] = std::current_exception();
-          }
-        });
-      }
-      run_bucket(residual_only, nullptr);
-    }
-    for (const std::exception_ptr& error : worker_errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  } else {
-    for (size_t shard = 0; shard < buckets.size(); ++shard) {
-      run_bucket(buckets[shard], &shards_[shard]);
-    }
-    run_bucket(residual_only, nullptr);
+    const std::vector<Query>& queries, Args&&... args) const {
+  std::vector<std::vector<std::string>> results;
+  results.reserve(queries.size());
+  for (const Query& query : queries) {
+    results.push_back(LookupMerged(query, args...));
   }
   return results;
+}
+
+std::vector<std::vector<std::string>>
+ShardedScopeRegistry::MatchOperatorMetricBatch(
+    const std::vector<OperatorMetricSample>& samples,
+    const GraphView& graph) const {
+  return MatchBatch(samples, graph);
 }
 
 std::vector<std::vector<std::string>>
@@ -596,6 +513,11 @@ ShardedScopeRegistry::MatchOperatorMetricBatch(
     const std::vector<OperatorMetricContext>& contexts,
     const GraphView& graph) const {
   return MatchBatch(contexts, graph);
+}
+
+std::vector<std::vector<std::string>> ShardedScopeRegistry::MatchPeMetricBatch(
+    const std::vector<PeMetricSample>& samples) const {
+  return MatchBatch(samples);
 }
 
 std::vector<std::vector<std::string>> ShardedScopeRegistry::MatchPeMetricBatch(

@@ -49,12 +49,12 @@ namespace orcastream::orca {
 /// all shards so `ReplaceLogic`/`Shutdown` retirement semantics are
 /// preserved per shard.
 ///
-/// **Parallel snapshot matching.** The batch entry points match one whole
-/// SRM round shard-parallel: samples are bucketed by owning shard and the
-/// buckets matched on separate threads (shards are disjoint; the residual
-/// shard and the graph view are only read). Results are deterministic and
-/// identical to per-sample MatchedKeys calls. The gating thresholds are
-/// config-driven (set_parallel_policy).
+/// **Snapshot matching.** The batch entry points match one whole SRM
+/// round on the calling thread, through borrowed sample views, and return
+/// exactly what per-sample MatchedKeys calls would. It stays serial: one
+/// shard's serial match already runs far past the linear scan, and
+/// per-round worker threads slowed the rest of the round (view building,
+/// publishing) by more than they saved.
 ///
 /// **Dynamic resharding.** Every lookup charges one match to the owning
 /// application's route, so the registry observes per-application and
@@ -128,14 +128,19 @@ class ShardedScopeRegistry {
                                        bool is_submission) const;
   std::vector<std::string> MatchedKeys(const UserEventContext& context) const;
 
-  // --- Batch matching: one SRM round, shard-parallel ----------------------
+  // --- Batch matching: one SRM round -------------------------------------
 
-  /// results[i] == MatchedKeys(contexts[i], graph) for every i; buckets
-  /// the samples by owning shard and matches the buckets on separate
-  /// threads when the round is large enough to pay for them.
+  /// results[i] == MatchedKeys(samples[i], graph) for every i, on the
+  /// calling thread. The context-vector overloads serve callers that hold
+  /// owned contexts (tests, benches).
+  std::vector<std::vector<std::string>> MatchOperatorMetricBatch(
+      const std::vector<OperatorMetricSample>& samples,
+      const GraphView& graph) const;
   std::vector<std::vector<std::string>> MatchOperatorMetricBatch(
       const std::vector<OperatorMetricContext>& contexts,
       const GraphView& graph) const;
+  std::vector<std::vector<std::string>> MatchPeMetricBatch(
+      const std::vector<PeMetricSample>& samples) const;
   std::vector<std::vector<std::string>> MatchPeMetricBatch(
       const std::vector<PeMetricContext>& contexts) const;
 
@@ -176,8 +181,7 @@ class ShardedScopeRegistry {
   const ReshardPolicy& reshard_policy() const { return reshard_policy_; }
 
   /// Allows MaybeRebalance to grow the shard vector up to `max_shards`
-  /// when isolating a dominant application (0 = never grow). Must not be
-  /// called while a MatchBatch is running (sim-thread discipline).
+  /// when isolating a dominant application (0 = never grow).
   void set_max_shards(size_t max_shards) { max_shards_ = max_shards; }
 
   /// Splits hot shards per the policy. Returns subscopes migrated. Call
@@ -195,22 +199,6 @@ class ShardedScopeRegistry {
   /// Appends a fresh, empty shard (generation counter aligned with its
   /// siblings) and returns its index.
   size_t AddShard();
-
-  // --- Parallel-matching policy -------------------------------------------
-
-  /// Gates for the shard-parallel batch path. `max_workers` 0 derives the
-  /// cap from std::thread::hardware_concurrency() - 1 (so a single-core
-  /// host always matches serially); a nonzero value forces that worker
-  /// cap regardless of detected cores.
-  struct ParallelPolicy {
-    size_t min_samples = 64;
-    size_t min_busy_shards = 2;
-    size_t max_workers = 0;
-  };
-  void set_parallel_policy(const ParallelPolicy& policy) {
-    parallel_policy_ = policy;
-  }
-  const ParallelPolicy& parallel_policy() const { return parallel_policy_; }
 
   // --- Shard-map introspection (tests, benches) ---------------------------
 
@@ -244,8 +232,8 @@ class ShardedScopeRegistry {
   /// shard-resident subscopes whose filters reference the application
   /// (the assignment is dropped when it reaches zero). `matches` is the
   /// load counter feeding MaybeRebalance — mutable because lookups are
-  /// const; it is only ever touched on the calling (sim) thread, never by
-  /// batch workers, so it needs no atomics.
+  /// const; lookups run on the owning (sim) thread, so it needs no
+  /// atomics.
   struct AppRoute {
     uint32_t shard = 0;
     size_t refs = 0;
@@ -281,16 +269,12 @@ class ShardedScopeRegistry {
   /// The one authoritative lookup: residual shard alone when no shard
   /// owns the application, else owner ∪ residual merged by sequence.
   /// Both the per-sample and batch paths go through it.
-  template <typename Context, typename... Args>
-  std::vector<std::string> MatchOne(const ScopeRegistry* owner,
-                                    const Context& context,
-                                    Args&&... args) const;
-  template <typename Context, typename... Args>
-  std::vector<std::string> LookupMerged(const Context& context,
+  template <typename Query, typename... Args>
+  std::vector<std::string> LookupMerged(const Query& query,
                                         Args&&... args) const;
-  template <typename Context, typename... Args>
+  template <typename Query, typename... Args>
   std::vector<std::vector<std::string>> MatchBatch(
-      const std::vector<Context>& contexts, Args&&... args) const;
+      const std::vector<Query>& queries, Args&&... args) const;
 
   /// Merges two sequence-ascending shard results back into overall
   /// registration order.
@@ -324,7 +308,6 @@ class ShardedScopeRegistry {
   uint64_t next_sequence_ = 0;
 
   ReshardPolicy reshard_policy_;
-  ParallelPolicy parallel_policy_;
   size_t max_shards_ = 0;
   /// Forwarded to late-grown shards (AddShard).
   size_t compaction_threshold_ = 16;

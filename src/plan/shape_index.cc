@@ -8,9 +8,12 @@ ShapeIndex::ShapeIndex(size_t attr_count, PlannerPolicy policy)
     : attr_count_(attr_count < kMaxAttrs ? attr_count : kMaxAttrs),
       planner_(policy) {}
 
-uint32_t ShapeIndex::ShapeOf(const AttributeValues& values) {
+uint32_t ShapeIndex::ShapeOf(const AttributeValues& values) const {
+  // Attributes past attr_count_ are not indexed, so they cannot shape a
+  // group either: a predicate filtering only there is a wildcard here
+  // (Collect returns a candidate superset either way).
   uint32_t shape = 0;
-  for (size_t attr = 0; attr < values.size(); ++attr) {
+  for (size_t attr = 0; attr < attr_count_ && attr < values.size(); ++attr) {
     if (!values[attr].empty()) shape |= 1u << attr;
   }
   return shape;
@@ -100,7 +103,9 @@ bool ShapeIndex::CollectGroup(uint32_t shape, const Group& group,
     }
   }
 
-  const Posting* postings[kMaxAttrs];
+  // A non-zero shape (masked to attr_count_ by ShapeOf) has at least one
+  // probe step.
+  const Posting* postings[kMaxAttrs] = {};
   for (size_t i = 0; i < steps; ++i) {
     const auto& index = group.postings[order[i]];
     auto it = index.find(*probes[order[i]]);

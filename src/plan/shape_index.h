@@ -58,10 +58,10 @@ struct PlanStats {
 ///
 /// Threading: Add/Kill/Clear/Prepare mutate and must run on the owning
 /// (sim) thread with lookups quiesced — the same discipline the owning
-/// ScopeRegistry's stores already obey. Collect is const and safe to call
-/// from several threads at once (ShardedScopeRegistry's batch workers
-/// share the residual shard); its only writes are the relaxed atomic
-/// lookup counters. Plans are compiled eagerly by Prepare at mutation
+/// ScopeRegistry's stores already obey. Lookups run on that thread too
+/// (every snapshot round is matched there); Collect is const and its only
+/// writes are the relaxed atomic lookup counters, so concurrent lookups
+/// would still be safe. Plans are compiled eagerly by Prepare at mutation
 /// time, never lazily inside a lookup.
 class ShapeIndex {
  public:
@@ -133,7 +133,7 @@ class ShapeIndex {
     bool dirty = true;
   };
 
-  static uint32_t ShapeOf(const AttributeValues& values);
+  uint32_t ShapeOf(const AttributeValues& values) const;
 
   /// Appends one group's intersection result to `out`; false when the
   /// skew guard fired.

@@ -211,6 +211,22 @@ TEST(ShapeIndexTest, SkewGuardFallsBackOnUnderestimatedBucket) {
   EXPECT_EQ(index.stats().fallback_lookups, 1u);
 }
 
+TEST(ShapeIndexTest, FiltersPastAttrCountActAsWildcards) {
+  // Attribute 1 is not indexed by a one-attribute index, so a predicate
+  // filtering only there has nothing to probe: it must come back as a
+  // candidate for every lookup, unplanned and planned alike.
+  ShapeIndex index(1);
+  index.Add(0, {{}, {"x"}});
+  std::string probe = "anything";
+  std::vector<uint32_t> out;
+  ASSERT_TRUE(index.Collect({&probe}, &out));
+  EXPECT_EQ(out, (std::vector<uint32_t>{0}));
+  index.Prepare();
+  ASSERT_TRUE(index.Collect({&probe}, &out));
+  EXPECT_EQ(out, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(index.stats().shapes, 1u);
+}
+
 }  // namespace
 }  // namespace orcastream::plan
 

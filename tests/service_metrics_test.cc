@@ -181,6 +181,161 @@ TEST(ServiceMetricsTest, EpochsAdvanceMonotonically) {
   EXPECT_GE(logic->pe_events.back().epoch, 4);
 }
 
+/// Records every metric delivery with its context, matched keys and
+/// position in the delivery stream.
+class MetricRecorderOrca : public Orchestrator {
+ public:
+  void HandleOrcaStart(OrcaContext& orca, const OrcaStartContext&) override {
+    OperatorMetricScope ops("ops");
+    ops.SetPortScope(OperatorMetricScope::PortScope::kBoth);
+    orca.RegisterEventScope(ops);
+    orca.RegisterEventScope(PeMetricScope("pes"));
+    orca.SubmitApplication("app");
+  }
+  void HandleOperatorMetricEvent(
+      OrcaContext&, const OperatorMetricContext& context,
+      const std::vector<std::string>& scopes) override {
+    order.push_back("op" + std::to_string(op_events.size()));
+    op_events.push_back(context);
+    EXPECT_EQ(scopes, std::vector<std::string>{"ops"});
+  }
+  void HandlePeMetricEvent(OrcaContext&, const PeMetricContext& context,
+                           const std::vector<std::string>& scopes) override {
+    order.push_back("pe" + std::to_string(pe_events.size()));
+    pe_events.push_back(context);
+    EXPECT_EQ(scopes, std::vector<std::string>{"pes"});
+  }
+  std::vector<std::string> order;
+  std::vector<OperatorMetricContext> op_events;
+  std::vector<PeMetricContext> pe_events;
+};
+
+/// A hand-built snapshot through IngestMetricsSnapshot: every context
+/// field is copied from the record or resolved against the graph view,
+/// unmanaged jobs are skipped, operators missing from the model get an
+/// empty kind, and operator samples deliver before PE samples, each in
+/// snapshot order, with journal summaries to match.
+TEST(ServiceMetricsTest, IngestedSnapshotContextsCarryEveryField) {
+  using runtime::MetricKind;
+  ClusterHarness cluster(3);
+  OrcaService::Config service_config;
+  service_config.remote_event_plane = true;  // no pull rounds of its own
+  OrcaService service(&cluster.sim(), &cluster.sam(), &cluster.srm(),
+                      service_config);
+  AppConfig config;
+  config.id = "app";
+  config.application_name = "App";
+  ASSERT_TRUE(service.RegisterApplication(config, PipelineApp("App")).ok());
+  auto logic_holder = std::make_unique<MetricRecorderOrca>();
+  MetricRecorderOrca* logic = logic_holder.get();
+  ASSERT_TRUE(service.Load(std::move(logic_holder)).ok());
+  cluster.sim().RunUntil(1);
+  auto job = service.RunningJob("app");
+  ASSERT_TRUE(job.ok()) << job.status();
+  auto flt_pe = service.graph().PeOfOperator(job.value(), "flt");
+  ASSERT_TRUE(flt_pe.ok());
+  auto src_pe = service.graph().PeOfOperator(job.value(), "src");
+  ASSERT_TRUE(src_pe.ok());
+  const common::JobId unmanaged(job.value().value() + 1000);
+  const common::PeId pe = flt_pe.value();
+
+  runtime::MetricsSnapshot snapshot;
+  snapshot.collected_at = 0.75;
+  snapshot.operator_metrics = {
+      {unmanaged, pe, "flt", "queueSize", MetricKind::kBuiltin, 1, -1, false},
+      {job.value(), pe, "flt", "queueSize", MetricKind::kBuiltin, 11, -1,
+       false},
+      {job.value(), pe, "ghost", "lag", MetricKind::kCustom, 13, -1, false},
+      {job.value(), pe, "flt", "nTuplesProcessed", MetricKind::kBuiltin, 17,
+       0, false},
+      {job.value(), pe, "flt", "nTuplesSubmitted", MetricKind::kBuiltin, 19,
+       0, true},
+  };
+  snapshot.pe_metrics = {
+      {unmanaged, pe, "nTupleBytesProcessed", MetricKind::kBuiltin, 2},
+      {job.value(), src_pe.value(), "nTupleBytesProcessed",
+       MetricKind::kBuiltin, 23},
+      {job.value(), pe, "heap", MetricKind::kCustom, 29},
+  };
+  ASSERT_EQ(service.metric_epoch(), 0);
+  size_t journal_before = service.transactions().size();
+  service.IngestMetricsSnapshot(snapshot);
+  cluster.sim().RunUntil(2);
+
+  EXPECT_EQ(logic->order, (std::vector<std::string>{"op0", "op1", "op2",
+                                                    "op3", "pe0", "pe1"}));
+  ASSERT_EQ(logic->op_events.size(), 4u);
+  ASSERT_EQ(logic->pe_events.size(), 2u);
+  struct OpExpect {
+    std::string instance, kind, metric;
+    MetricKind metric_kind;
+    int64_t value;
+    int32_t port;
+    bool output_port;
+  };
+  const OpExpect op_expect[] = {
+      {"flt", "Filter", "queueSize", MetricKind::kBuiltin, 11, -1, false},
+      {"ghost", "", "lag", MetricKind::kCustom, 13, -1, false},
+      {"flt", "Filter", "nTuplesProcessed", MetricKind::kBuiltin, 17, 0,
+       false},
+      {"flt", "Filter", "nTuplesSubmitted", MetricKind::kBuiltin, 19, 0,
+       true},
+  };
+  for (size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    const OperatorMetricContext& got = logic->op_events[i];
+    EXPECT_EQ(got.job, job.value());
+    EXPECT_EQ(got.application, "App");
+    EXPECT_EQ(got.pe, pe);
+    EXPECT_EQ(got.instance_name, op_expect[i].instance);
+    EXPECT_EQ(got.operator_kind, op_expect[i].kind);
+    EXPECT_EQ(got.metric, op_expect[i].metric);
+    EXPECT_EQ(got.metric_kind, op_expect[i].metric_kind);
+    EXPECT_EQ(got.value, op_expect[i].value);
+    EXPECT_EQ(got.port, op_expect[i].port);
+    EXPECT_EQ(got.output_port, op_expect[i].output_port);
+    EXPECT_EQ(got.epoch, 1);
+    EXPECT_EQ(got.collected_at, 0.75);
+  }
+  const PeMetricContext& bytes = logic->pe_events[0];
+  EXPECT_EQ(bytes.job, job.value());
+  EXPECT_EQ(bytes.application, "App");
+  EXPECT_EQ(bytes.pe, src_pe.value());
+  EXPECT_EQ(bytes.metric, "nTupleBytesProcessed");
+  EXPECT_EQ(bytes.metric_kind, MetricKind::kBuiltin);
+  EXPECT_EQ(bytes.value, 23);
+  EXPECT_EQ(bytes.epoch, 1);
+  EXPECT_EQ(bytes.collected_at, 0.75);
+  const PeMetricContext& heap = logic->pe_events[1];
+  EXPECT_EQ(heap.job, job.value());
+  EXPECT_EQ(heap.application, "App");
+  EXPECT_EQ(heap.pe, pe);
+  EXPECT_EQ(heap.metric, "heap");
+  EXPECT_EQ(heap.metric_kind, MetricKind::kCustom);
+  EXPECT_EQ(heap.value, 29);
+  EXPECT_EQ(heap.epoch, 1);
+  EXPECT_EQ(heap.collected_at, 0.75);
+
+  std::vector<std::string> summaries;
+  for (const TransactionLog::Record* record :
+       service.transactions().records()) {
+    if (record->id > static_cast<TransactionId>(journal_before)) {
+      summaries.push_back(record->event_summary);
+    }
+  }
+  const std::string src = std::to_string(src_pe.value().value());
+  const std::string flt = std::to_string(pe.value());
+  EXPECT_EQ(summaries,
+            (std::vector<std::string>{
+                "operatorMetric(flt.queueSize@1)",
+                "operatorMetric(ghost.lag@1)",
+                "operatorMetric(flt.nTuplesProcessed@1)",
+                "operatorMetric(flt.nTuplesSubmitted@1)",
+                "peMetric(pe" + src + ".nTupleBytesProcessed@1)",
+                "peMetric(pe" + flt + ".heap@1)",
+            }));
+}
+
 /// Satellite: the shard/queue observability surface. Shard loads track
 /// where subscopes live and which shard absorbs the match volume; queue
 /// stats expose per-application depth/delivered/backlog-age under async
