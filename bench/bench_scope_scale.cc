@@ -4,13 +4,11 @@
 // is heavily skewed — a handful of applications produce most of the metric
 // volume. This bench drives the two layers that absorb that skew:
 //
-//   - BM_ZipfMatch{Sticky,Rebalanced}: 1M registered subscopes across 10k
-//     applications in a ShardedScopeRegistry, matched against Zipf(s=1.1)
-//     sample traffic. Sticky keeps the hash placement; Rebalanced lets
-//     MaybeRebalance split hot shards between rounds. Matching is
-//     ~throughput-neutral on a single core — the honest signal is the
-//     hot-shard load share (hot_shard_share counter), which resharding
-//     must push toward 1/shards.
+//   - BM_ZipfMatchSticky: 1M registered subscopes across 10k applications
+//     in a ShardedScopeRegistry, matched against Zipf(s=1.1) sample
+//     traffic. Each application keeps the shard its first registration
+//     hashed it to; the hot_shard_share counter is the hottest shard's
+//     fraction of the round's samples.
 //
 //   - BM_ZipfDelivery{Unweighted,Weighted}: the same skew through the
 //     async EventBus on a ThreadPoolExecutor, recording *per-delivery
@@ -96,79 +94,43 @@ std::vector<orca::OperatorMetricContext> MakeZipfSamples(
   return contexts;
 }
 
-// --- Matching: sticky hash placement vs dynamic resharding -----------------
+// --- Matching: sticky hash placement ---------------------------------------
 
 /// Args: {shards, samples per SRM round}. Registers the full 1M-subscope
-/// population, then matches Zipf rounds; the Rebalanced variant runs
-/// MaybeRebalance after each round (as OrcaService does between pulls)
-/// with growth headroom of 2x the starting shard count.
-template <bool kRebalance>
-void ZipfMatchLoop(benchmark::State& state) {
+/// population, then matches the same Zipf round each iteration.
+void BM_ZipfMatchSticky(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   orca::ShardedScopeRegistry registry(shards);
-  orca::ShardedScopeRegistry::ReshardPolicy policy;
-  policy.enabled = kRebalance;
-  // Default 2.0 ratio: at 16 shards the head application dominates its
-  // hash shard (~3x the mean), so the splitter isolates it; afterwards
-  // the hottest shard is that single application — still above the
-  // ratio, but unsplittable, so the improvement guards go quiet instead
-  // of thrashing.
-  policy.hot_ratio = 2.0;
-  policy.min_matches = 4096;
-  policy.max_moves_per_round = 4;
-  registry.set_reshard_policy(policy);
-  if (kRebalance) registry.set_max_shards(shards * 2);
   for (int i = 0; i < kScopes; ++i) registry.Register(MakeScaleScope(i));
   auto cdf = ZipfCdf(kApps, kZipfS);
   auto samples =
       MakeZipfSamples(static_cast<int>(state.range(1)), cdf, /*seed=*/29);
   orca::GraphView view;
-  if (kRebalance) {
-    // Let placement converge before timing: the migration burst is a
-    // one-time cost; the recorded throughput is the steady state the
-    // service actually runs at (MaybeRebalance stays in the timed loop,
-    // so residual churn is still charged).
-    for (int round = 0; round < 6; ++round) {
-      auto warm = registry.MatchOperatorMetricBatch(samples, view);
-      benchmark::DoNotOptimize(warm);
-      registry.MaybeRebalance();
-    }
-  }
   size_t matched_total = 0;
   for (auto _ : state) {
     auto results = registry.MatchOperatorMetricBatch(samples, view);
     for (const auto& keys : results) matched_total += keys.size();
     benchmark::DoNotOptimize(results);
-    if (kRebalance) registry.MaybeRebalance();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(samples.size()));
-  // Load-share counters from the observability surface: the hottest
-  // shard's fraction of charged match volume (residual row excluded —
-  // every subscope here is application-filtered).
-  auto loads = registry.shard_loads();
-  uint64_t max_matches = 0, total_matches = 0;
-  for (size_t i = 0; i + 1 < loads.size(); ++i) {
-    max_matches = std::max(max_matches, loads[i].matches);
-    total_matches += loads[i].matches;
+  // The hottest shard's fraction of the round's samples (every subscope
+  // here is application-filtered, so every sample routes to a shard).
+  std::vector<uint64_t> per_shard(registry.shard_count(), 0);
+  for (const auto& sample : samples) {
+    int shard = registry.shard_of(sample.application);
+    if (shard >= 0) ++per_shard[static_cast<size_t>(shard)];
   }
-  if (total_matches > 0) {
+  uint64_t routed = 0;
+  for (uint64_t count : per_shard) routed += count;
+  if (routed > 0) {
     state.counters["hot_shard_share"] =
-        static_cast<double>(max_matches) / static_cast<double>(total_matches);
+        static_cast<double>(
+            *std::max_element(per_shard.begin(), per_shard.end())) /
+        static_cast<double>(routed);
   }
   state.counters["shards"] = static_cast<double>(registry.shard_count());
-  state.counters["reshards"] = static_cast<double>(registry.reshard_count());
-  state.counters["migrated"] =
-      static_cast<double>(registry.migrated_subscopes());
   state.SetLabel("matched=" + std::to_string(matched_total));
-}
-
-void BM_ZipfMatchSticky(benchmark::State& state) {
-  ZipfMatchLoop<false>(state);
-}
-
-void BM_ZipfMatchRebalanced(benchmark::State& state) {
-  ZipfMatchLoop<true>(state);
 }
 
 // --- Delivery latency: weighted + batched vs FIFO + one-at-a-time ----------
@@ -277,11 +239,6 @@ void BM_ZipfDeliveryWeighted(benchmark::State& state) {
 // population (or publishes a full burst) in setup, so calibration re-runs
 // would dominate wall time without adding signal.
 BENCHMARK(BM_ZipfMatchSticky)->Args({16, 20000})->Iterations(3)->UseRealTime();
-BENCHMARK(BM_ZipfMatchRebalanced)
-    ->Args({16, 20000})
-    ->Iterations(3)
-    ->UseRealTime();
-
 BENCHMARK(BM_ZipfDeliveryUnweighted)
     ->Arg(100000)
     ->Iterations(5)

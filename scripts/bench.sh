@@ -97,7 +97,7 @@ fi
 
 if (( RUN_SCOPE || RUN_SCALE || RUN_PLAN || RUN_DELIVERY )); then
   RUN_SCOPE=$RUN_SCOPE RUN_SCALE=$RUN_SCALE RUN_PLAN=$RUN_PLAN \
-  RUN_DELIVERY=$RUN_DELIVERY \
+  RUN_DELIVERY=$RUN_DELIVERY ONLY=$ONLY \
   python3 - "$SCOPE_JSON" "$DELIVERY_JSON" "$SCALE_JSON" "$PLAN_JSON" \
     "$REPO_ROOT/BENCH_event_routing.json" <<'EOF'
 import json
@@ -109,6 +109,7 @@ run_scope = os.environ["RUN_SCOPE"] == "1"
 run_scale = os.environ["RUN_SCALE"] == "1"
 run_plan = os.environ["RUN_PLAN"] == "1"
 run_delivery = os.environ["RUN_DELIVERY"] == "1"
+only = os.environ["ONLY"]
 
 def load(path):
     with open(path) as f:
@@ -133,7 +134,9 @@ def require(benches, name, field="items_per_second"):
              "(renamed, filtered out, or failed to run?)")
 
 # Merge-update: sections not recomputed this run keep their recorded
-# values (supports `--only KEY` partial reruns).
+# values. `--only KEY` recomputes the benchmark binary behind KEY but
+# merges and gates KEY alone; sibling keys fed by the same binary keep
+# their recorded values.
 result = {}
 if os.path.exists(out_path):
     with open(out_path) as f:
@@ -148,7 +151,7 @@ result["description"] = (
     "predicate-planner ordered intersection vs fixed-order candidate "
     "merge, plus EventBus dispatch throughput (events/s)")
 
-computed = []
+fresh = {}
 
 if run_scope:
     scope = load(scope_path)
@@ -161,13 +164,13 @@ if run_scope:
         for n in (1, 2, 4, 8)
     }
     sharded_linear = require(scope, "BM_ShardedSnapshotLinear/1000/10000")
-    result["scope_matching"] = {
+    fresh["scope_matching"] = {
         "indexed_items_per_second": indexed,
         "linear_items_per_second": linear,
         "speedup": indexed / linear,
         "required_speedup": 5.0,
     }
-    result["scope_matching_churn"] = {
+    fresh["scope_matching_churn"] = {
         "indexed_items_per_second": churn_indexed,
         "linear_items_per_second": churn_linear,
         "speedup": churn_indexed / churn_linear,
@@ -177,7 +180,7 @@ if run_scope:
     # matched through ShardedScopeRegistry on the calling thread, vs the
     # linear scan over the same subscope population. The 4-shard case is
     # gated.
-    result["scope_matching_sharded"] = {
+    fresh["scope_matching_sharded"] = {
         "sharded_items_per_second": {
             f"shards_{n}": value for n, value in sharded.items()
         },
@@ -186,37 +189,30 @@ if run_scope:
         "speedup": sharded[4] / sharded_linear,
         "required_speedup": 5.0,
     }
-    computed += ["scope_matching", "scope_matching_churn",
-                 "scope_matching_sharded"]
 
 if run_scale:
     scale = load(scale_path)
     zipf_sticky = "BM_ZipfMatchSticky/16/20000"
-    zipf_rebalanced = "BM_ZipfMatchRebalanced/16/20000"
     zipf_unweighted = "BM_ZipfDeliveryUnweighted/100000"
     zipf_weighted = "BM_ZipfDeliveryWeighted/100000"
     unweighted_p99 = require(scale, zipf_unweighted, "p99_us")
     weighted_p99 = require(scale, zipf_weighted, "p99_us")
     # Million-scope scale under Zipf(s=1.1) skew: 1M subscopes across 10k
-    # applications. Matching compares sticky hash placement against
-    # dynamic hot-shard splitting (hot_shard_share = the hottest shard's
-    # fraction of match volume; its floor is the head application's
-    # traffic share). Delivery pushes 100k skewed events through the
-    # async EventBus on a worker pool: FIFO one-at-a-time vs weighted
-    # dispatch with 64-delivery batching, gated on p99 publish-to-handler
-    # latency (lower is better; speedup = unweighted_p99/weighted_p99).
-    result["scope_matching_zipf"] = {
+    # applications. Matching keeps each application on the shard its
+    # first registration hashed it to (hot_shard_share = the hottest
+    # shard's fraction of the round's samples; its floor is the head
+    # application's traffic share). Delivery pushes 100k skewed events
+    # through the async EventBus on a worker pool: FIFO one-at-a-time vs
+    # weighted dispatch with 64-delivery batching, gated on p99
+    # publish-to-handler latency (lower is better; speedup =
+    # unweighted_p99/weighted_p99).
+    fresh["scope_matching_zipf"] = {
         "scopes": 1000000,
         "applications": 10000,
         "zipf_s": 1.1,
         "sticky_items_per_second": require(scale, zipf_sticky),
-        "rebalanced_items_per_second": require(scale, zipf_rebalanced),
         "sticky_hot_shard_share": require(scale, zipf_sticky,
                                           "hot_shard_share"),
-        "rebalanced_hot_shard_share": require(scale, zipf_rebalanced,
-                                              "hot_shard_share"),
-        "reshards": require(scale, zipf_rebalanced, "reshards"),
-        "migrated_subscopes": require(scale, zipf_rebalanced, "migrated"),
         "delivery_unweighted_p50_us": require(scale, zipf_unweighted,
                                               "p50_us"),
         "delivery_unweighted_p99_us": unweighted_p99,
@@ -225,7 +221,6 @@ if run_scale:
         "speedup": unweighted_p99 / weighted_p99,
         "required_speedup": 2.0,
     }
-    computed.append("scope_matching_zipf")
 
 if run_plan:
     plan = load(plan_path)
@@ -238,7 +233,7 @@ if run_plan:
     # application buckets hold ~4). Results are byte-identical; the
     # bench verifies planned == MatchedKeysLinear before timing. The
     # churn pair prices plan recompilation into the planned path.
-    result["scope_matching_plan"] = {
+    fresh["scope_matching_plan"] = {
         "planned_items_per_second": planned,
         "fixed_order_items_per_second": fixed,
         "linear_items_per_second":
@@ -250,11 +245,10 @@ if run_plan:
         "speedup": planned / fixed,
         "required_speedup": 2.0,
     }
-    computed.append("scope_matching_plan")
 
 if run_delivery:
     delivery = load(delivery_path)
-    result["event_delivery"] = {
+    fresh["event_delivery"] = {
         "service_burst_1000_items_per_second":
             require(delivery, "BM_UserEventBurstDispatch/1000"),
         "bus_raw_1000_items_per_second":
@@ -264,7 +258,7 @@ if run_delivery:
     # serial FIFO, 8 applications with blocking (sleep-modelled) handler
     # latency. The async layer overlaps the latency across applications,
     # so it must clear >=2x even on a single-core host.
-    result["event_delivery_async"] = {
+    fresh["event_delivery_async"] = {
         "async_items_per_second":
             require(delivery, "BM_MultiAppDeliveryAsync/8/real_time"),
         "serial_items_per_second":
@@ -276,7 +270,7 @@ if run_delivery:
     # two OrcaContext actuations (staged + marshalled to the publishing
     # thread on the pool path, immediate on the serial path). Staging
     # must not eat the async win.
-    result["event_delivery_async_actuating"] = {
+    fresh["event_delivery_async_actuating"] = {
         "async_items_per_second":
             require(delivery,
                     "BM_MultiAppDeliveryActuatingAsync/8/real_time"),
@@ -287,10 +281,13 @@ if run_delivery:
         "required_speedup": 2.0,
     }
     for label in ("event_delivery_async", "event_delivery_async_actuating"):
-        async_ips = result[label]["async_items_per_second"]
-        serial_ips = result[label]["serial_items_per_second"]
-        result[label]["speedup"] = async_ips / serial_ips
-    computed += ["event_delivery_async", "event_delivery_async_actuating"]
+        async_ips = fresh[label]["async_items_per_second"]
+        serial_ips = fresh[label]["serial_items_per_second"]
+        fresh[label]["speedup"] = async_ips / serial_ips
+
+computed = [only] if only else list(fresh)
+for label in computed:
+    result[label] = fresh[label]
 
 with open(out_path, "w") as f:
     json.dump(result, f, indent=2)

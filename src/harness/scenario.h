@@ -46,7 +46,6 @@ struct ScenarioOptions {
   double metric_pull_period = 5.0;
   double dispatch_interval = 0.0;
   size_t scope_shards = 4;
-  bool dynamic_resharding = true;
   /// Remote event plane: detection events (PE failures, metric
   /// snapshots, user injections) reach the control plane through the
   /// src/net framed transport instead of direct calls. The transport

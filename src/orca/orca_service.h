@@ -98,29 +98,6 @@ class OrcaService : private runtime::EventSink {
     /// cost) runnable queue first instead of FIFO; executors bound
     /// starvation of cold queues (see ThreadPoolExecutor).
     bool weighted_dispatch = true;
-    /// Enables hot-shard splitting: after each metric pull round the
-    /// service may migrate an overloaded shard's applications (their
-    /// co-pinned subscope groups) to an underloaded or new shard. Match
-    /// results and event order are unaffected — only placement moves.
-    bool dynamic_resharding = true;
-    /// A shard is "hot" when its observed match volume exceeds
-    /// hot_ratio × the mean shard volume (and the total exceeds
-    /// reshard_min_matches — no thrash on idle services).
-    double reshard_hot_ratio = 2.0;
-    uint64_t reshard_min_matches = 4096;
-    /// Upper bound on shards the splitter may grow to (0 = stay at
-    /// scope_shards; splitting then only rebalances across existing
-    /// shards).
-    size_t max_scope_shards = 0;
-    /// Predicate planner (src/plan/): compile each registered predicate
-    /// shape into an ordered intersection plan over the live-cardinality
-    /// posting indexes instead of the fixed metric→application merge.
-    /// Match results are byte-identical either way (the planner produces
-    /// a candidate superset and every candidate is re-checked); this only
-    /// changes lookup cost under selective filters. Plans are re-compiled
-    /// automatically on registration churn, retirement, compaction, and
-    /// shard migration (see plan_stats()).
-    bool predicate_planner = true;
     /// Remote event plane (src/net/): when set, Load registers this sink
     /// with SAM instead of the service itself, so PE failure
     /// notifications leave the runtime through the transport and come
@@ -306,9 +283,9 @@ class OrcaService : private runtime::EventSink {
 
   /// Applies a metric snapshot pushed by a remote runtime's metric pump.
   /// Runs the same publication round as the in-process pull path
-  /// (staged-actuation drain, epoch bump, snapshot publish, shard
-  /// rebalance), so remote and in-process runs advance the same logical
-  /// clocks in the same order.
+  /// (staged-actuation drain, epoch bump, snapshot publish), so remote
+  /// and in-process runs advance the same logical clocks in the same
+  /// order.
   void IngestMetricsSnapshot(const runtime::MetricsSnapshot& snapshot);
 
   /// The managed jobs a metric round queries, in the service's own pull
@@ -337,17 +314,13 @@ class OrcaService : private runtime::EventSink {
   size_t queue_depth() const { return bus_.queue_depth(); }
   int64_t metric_epoch() const { return metric_epoch_; }
 
-  // Shard observability (sim-thread reads; the per-route counters are
-  // plain fields bumped by the matching thread, not atomics).
-  std::vector<ShardedScopeRegistry::ShardLoad> shard_loads() const {
-    return scopes_.shard_loads();
-  }
-  uint64_t reshard_count() const { return scopes_.reshard_count(); }
-  uint64_t migrated_subscopes() const { return scopes_.migrated_subscopes(); }
+  // Always 0: shards no longer split or migrate. Kept only because the
+  // adaptation-cycle benchmark (perfbench/) still reports it.
+  uint64_t reshard_count() const { return 0; }
 
   // Predicate-planner observability: compile/replan and
   // planned-vs-fallback lookup counters summed across all shards (see
-  // plan::PlanStats). Zeroes when Config::predicate_planner is false.
+  // plan::PlanStats). The planner is always on in the service.
   plan::PlanStats plan_stats() const { return scopes_.plan_stats(); }
 
   // Reaction-latency observability (the paper's Figs 7–10 metric): one
@@ -485,7 +458,7 @@ class OrcaService : private runtime::EventSink {
 
   void PullMetricsRound();
   /// Shared tail of PullMetricsRound and IngestMetricsSnapshot: epoch
-  /// bump, staged-clock touch, snapshot publication, shard rebalance.
+  /// bump, staged-clock touch, snapshot publication.
   void PublishSnapshotRound(const runtime::MetricsSnapshot& snapshot);
   /// runtime::EventSink — SAM pushes PE failure notifications for managed
   /// jobs here (§4.2).

@@ -1,7 +1,6 @@
 #include "orca/scope_registry.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "orca/scope_matcher.h"
@@ -292,149 +291,6 @@ void ScopeRegistry::Register(JobEventScope scope) {
 }
 void ScopeRegistry::Register(UserEventScope scope) {
   RegisterIn(user_event_, ScopeType::kUserEvent, std::move(scope));
-}
-
-// --- Subscope migration (shard rebalancing) ---------------------------------
-
-template <typename Scope>
-bool ScopeRegistry::TakeSlot(Store<Scope>& store, uint32_t position,
-                             std::vector<ExtractedScope>& out) {
-  Slot<Scope>& slot = store.slots[position];
-  if (!slot.live) return false;
-  UnindexScope(slot.scope, position);
-  out.push_back(
-      ExtractedScope{std::move(slot.scope), slot.generation, slot.sequence});
-  // Tombstone like Unregister: index buckets keep the dead position and
-  // lookups skip it until compaction reclaims it.
-  slot.live = false;
-  ++store.dead;
-  return true;
-}
-
-std::vector<ScopeRegistry::ExtractedScope> ScopeRegistry::ExtractKeys(
-    const std::vector<std::string>& keys) {
-  std::vector<ExtractedScope> out;
-  for (const std::string& key : keys) {
-    auto it = key_map_.find(key);
-    if (it == key_map_.end()) continue;
-    for (const SlotRef& ref : it->second) {
-      switch (ref.type) {
-        case ScopeType::kOperatorMetric:
-          TakeSlot(operator_metric_, ref.position, out);
-          break;
-        case ScopeType::kPeMetric:
-          TakeSlot(pe_metric_, ref.position, out);
-          break;
-        case ScopeType::kPeFailure:
-          TakeSlot(pe_failure_, ref.position, out);
-          break;
-        case ScopeType::kJobEvent:
-          TakeSlot(job_event_, ref.position, out);
-          break;
-        case ScopeType::kUserEvent:
-          TakeSlot(user_event_, ref.position, out);
-          break;
-      }
-    }
-    key_map_.erase(it);
-  }
-  MaybeCompact();
-  PreparePlans();
-  return out;
-}
-
-template <typename Scope>
-void ScopeRegistry::AppendExtracted(Store<Scope>& store, ScopeType type,
-                                    Scope scope, Generation generation,
-                                    uint64_t sequence) {
-  uint32_t position = static_cast<uint32_t>(store.slots.size());
-  IndexScope(scope, position);
-  key_map_[scope.key()].push_back(SlotRef{type, position});
-  store.slots.push_back(
-      Slot<Scope>{std::move(scope), generation, sequence, /*live=*/true});
-}
-
-template <typename Scope, typename ClearIndexes>
-bool ScopeRegistry::RestoreSequenceOrder(Store<Scope>& store,
-                                         ClearIndexes clear_indexes) {
-  // Live slot positions must ascend by sequence: MatchedSeqKeys walks
-  // candidate positions in ascending order and promises its results are
-  // sequence-ascending (the merge contract), and the linear oracle equates
-  // slot order with registration order. Appends of migrated subscopes can
-  // land below existing sequences, so re-sort when they did.
-  bool sorted = true;
-  uint64_t previous = 0;
-  bool have_previous = false;
-  for (const Slot<Scope>& slot : store.slots) {
-    if (!slot.live) continue;
-    if (have_previous && slot.sequence < previous) {
-      sorted = false;
-      break;
-    }
-    previous = slot.sequence;
-    have_previous = true;
-  }
-  if (sorted) return false;
-  std::vector<Slot<Scope>> live;
-  live.reserve(store.live_count());
-  for (Slot<Scope>& slot : store.slots) {
-    if (slot.live) live.push_back(std::move(slot));
-  }
-  std::sort(live.begin(), live.end(),
-            [](const Slot<Scope>& a, const Slot<Scope>& b) {
-              return a.sequence < b.sequence;  // sequences are unique
-            });
-  store.slots = std::move(live);
-  store.dead = 0;
-  clear_indexes();
-  for (uint32_t position = 0;
-       position < static_cast<uint32_t>(store.slots.size()); ++position) {
-    IndexScope(store.slots[position].scope, position);
-  }
-  return true;
-}
-
-void ScopeRegistry::InsertExtracted(std::vector<ExtractedScope> extracted) {
-  if (extracted.empty()) return;
-  for (ExtractedScope& item : extracted) {
-    Generation generation = item.generation;
-    uint64_t sequence = item.sequence;
-    std::visit(
-        [&](auto& scope) {
-          using Scope = std::decay_t<decltype(scope)>;
-          if constexpr (std::is_same_v<Scope, OperatorMetricScope>) {
-            AppendExtracted(operator_metric_, ScopeType::kOperatorMetric,
-                            std::move(scope), generation, sequence);
-          } else if constexpr (std::is_same_v<Scope, PeMetricScope>) {
-            AppendExtracted(pe_metric_, ScopeType::kPeMetric,
-                            std::move(scope), generation, sequence);
-          } else if constexpr (std::is_same_v<Scope, PeFailureScope>) {
-            AppendExtracted(pe_failure_, ScopeType::kPeFailure,
-                            std::move(scope), generation, sequence);
-          } else if constexpr (std::is_same_v<Scope, JobEventScope>) {
-            AppendExtracted(job_event_, ScopeType::kJobEvent,
-                            std::move(scope), generation, sequence);
-          } else {
-            static_assert(std::is_same_v<Scope, UserEventScope>);
-            AppendExtracted(user_event_, ScopeType::kUserEvent,
-                            std::move(scope), generation, sequence);
-          }
-        },
-        item.scope);
-  }
-  bool moved = false;
-  moved |= RestoreSequenceOrder(operator_metric_,
-                                [this] { ClearIndexesFor(operator_metric_); });
-  moved |= RestoreSequenceOrder(pe_metric_,
-                                [this] { ClearIndexesFor(pe_metric_); });
-  moved |= RestoreSequenceOrder(pe_failure_,
-                                [this] { ClearIndexesFor(pe_failure_); });
-  moved |= RestoreSequenceOrder(job_event_,
-                                [this] { ClearIndexesFor(job_event_); });
-  moved |= RestoreSequenceOrder(user_event_,
-                                [this] { ClearIndexesFor(user_event_); });
-  if (moved) RebuildKeyMap();
-  PreparePlans();
 }
 
 template <typename Scope>

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "orca/event_scope.h"
@@ -90,15 +89,6 @@ class ScopeRegistry {
 
   Generation current_generation() const { return current_generation_; }
 
-  /// Aligns the generation counter with a sibling registry's. Only used
-  /// when ShardedScopeRegistry grows a fresh shard at runtime: every shard
-  /// advances its counter in lockstep (BeginGeneration), so a late-born
-  /// shard must join at the wrapper's current generation or its
-  /// RetireGeneration ids would drift from its siblings'.
-  void set_current_generation(Generation generation) {
-    current_generation_ = generation;
-  }
-
   /// Sequence number the next Register call will stamp its subscope with.
   /// ShardedScopeRegistry drives the counters of all its shards from one
   /// global counter (set before every Register) so per-shard results can
@@ -112,36 +102,6 @@ class ScopeRegistry {
   /// Number of live (registered and not unregistered) subscopes.
   size_t size() const;
   bool empty() const { return size() == 0; }
-
-  // --- Subscope migration (shard rebalancing) -----------------------------
-
-  /// One subscope lifted out of a registry with its identity intact: the
-  /// scope itself plus the generation and global sequence number it was
-  /// registered under. InsertExtracted replays it into another registry
-  /// so retirement semantics and sequence-merge order survive the move.
-  struct ExtractedScope {
-    std::variant<OperatorMetricScope, PeMetricScope, PeFailureScope,
-                 JobEventScope, UserEventScope>
-        scope;
-    Generation generation = 0;
-    uint64_t sequence = 0;
-  };
-
-  /// Removes every live subscope registered under the given keys and
-  /// returns them with their generation/sequence stamps, for insertion
-  /// into a sibling registry. The donor registry compacts as needed; its
-  /// match results afterwards are as if the keys had never been
-  /// registered here.
-  std::vector<ExtractedScope> ExtractKeys(
-      const std::vector<std::string>& keys);
-
-  /// Re-registers extracted subscopes preserving their original
-  /// generation and sequence stamps, then restores the per-store
-  /// invariant that live slot positions ascend by sequence (the order
-  /// MatchedSeqKeys and the linear oracle both rely on). Sequences must
-  /// come from the same global counter as this registry's — true for any
-  /// two shards of one ShardedScopeRegistry.
-  void InsertExtracted(std::vector<ExtractedScope> extracted);
 
   // --- Indexed matching (the hot path) ----------------------------------
 
@@ -360,7 +320,7 @@ class ScopeRegistry {
 
   // Tombstone-side counterpart of IndexScope: decrements the cardinality
   // counters and tombstones the planner postings for one slot being
-  // killed (Unregister, generation retirement, migration extraction).
+  // killed (Unregister, generation retirement).
   // Must run while slot.scope is still intact.
   void UnindexScope(const OperatorMetricScope& scope, uint32_t position);
   void UnindexScope(const PeMetricScope& scope, uint32_t position);
@@ -391,22 +351,6 @@ class ScopeRegistry {
 
   template <typename Scope>
   void RegisterIn(Store<Scope>& store, ScopeType type, Scope scope);
-
-  /// RegisterIn with an explicit generation + sequence (the migration
-  /// replay path; does not consume this registry's counters).
-  template <typename Scope>
-  void AppendExtracted(Store<Scope>& store, ScopeType type, Scope scope,
-                       Generation generation, uint64_t sequence);
-  /// Moves one live slot's scope + stamps into `out` and tombstones the
-  /// slot; false if it was already dead.
-  template <typename Scope>
-  bool TakeSlot(Store<Scope>& store, uint32_t position,
-                std::vector<ExtractedScope>& out);
-  /// Re-establishes ascending-sequence slot order for one store after
-  /// out-of-order appends: drops dead slots, sorts live ones by sequence,
-  /// rebuilds the store's indexes. Returns true when positions moved.
-  template <typename Scope, typename ClearIndexes>
-  bool RestoreSequenceOrder(Store<Scope>& store, ClearIndexes clear_indexes);
 
   /// Tombstones the slot if live; updates the store's dead count.
   template <typename Scope>

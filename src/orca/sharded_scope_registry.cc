@@ -196,8 +196,6 @@ void ShardedScopeRegistry::set_compaction_threshold(size_t threshold) {
     shard.set_compaction_threshold(threshold);
   }
   residual_.set_compaction_threshold(threshold);
-  // Late-grown shards (AddShard) must inherit the same setting.
-  compaction_threshold_ = threshold == 0 ? 1 : threshold;
 }
 
 size_t ShardedScopeRegistry::dead_count() const {
@@ -219,207 +217,12 @@ void ShardedScopeRegistry::set_predicate_planner(bool enabled) {
     shard.set_predicate_planner(enabled);
   }
   residual_.set_predicate_planner(enabled);
-  // Late-grown shards (AddShard) must inherit the same setting.
-  predicate_planner_ = enabled;
 }
 
 plan::PlanStats ShardedScopeRegistry::plan_stats() const {
   plan::PlanStats stats = residual_.plan_stats();
   for (const ScopeRegistry& shard : shards_) stats += shard.plan_stats();
   return stats;
-}
-
-// --- Load accounting & dynamic resharding -----------------------------------
-
-std::vector<ShardedScopeRegistry::ShardLoad> ShardedScopeRegistry::shard_loads()
-    const {
-  std::vector<ShardLoad> loads(shards_.size() + 1);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    loads[s].subscopes = shards_[s].size();
-  }
-  loads[shards_.size()].subscopes = residual_.size();
-  loads[shards_.size()].matches = residual_matches_;
-  for (const auto& [application, route] : routes_) {
-    ++loads[route.shard].applications;
-    loads[route.shard].matches += route.matches;
-  }
-  return loads;
-}
-
-size_t ShardedScopeRegistry::AddShard() {
-  ScopeRegistry fresh;
-  fresh.set_compaction_threshold(compaction_threshold_);
-  fresh.set_predicate_planner(predicate_planner_);
-  // Generation counters advance in lockstep across shards
-  // (BeginGeneration), so a late-born shard joins at the wrapper's
-  // current generation.
-  fresh.set_current_generation(current_generation_);
-  shards_.push_back(std::move(fresh));
-  return shards_.size() - 1;
-}
-
-ShardedScopeRegistry::CoPinGroup ShardedScopeRegistry::CollectGroup(
-    const std::string& seed, uint32_t from) const {
-  // Units: for each key, the union of applications referenced by its
-  // placements resident in `from`. A unit's applications must migrate
-  // together (a multi-application subscope pins them to one shard), and a
-  // key's placements within one shard move together because ExtractKeys
-  // takes every live slot under the key.
-  struct Unit {
-    const std::string* key;
-    std::vector<const std::string*> applications;
-  };
-  std::vector<Unit> units;
-  std::unordered_map<std::string, std::vector<size_t>> units_by_app;
-  for (const auto& [key, placements] : placements_) {
-    Unit unit{&key, {}};
-    for (const Placement& placement : placements) {
-      if (placement.shard != from) continue;
-      for (const std::string& application : placement.applications) {
-        unit.applications.push_back(&application);
-      }
-    }
-    if (unit.applications.empty()) continue;
-    size_t id = units.size();
-    for (const std::string* application : unit.applications) {
-      units_by_app[*application].push_back(id);
-    }
-    units.push_back(std::move(unit));
-  }
-  // Close the seed over shared units (BFS over the app↔key bipartite
-  // graph restricted to `from`).
-  CoPinGroup group;
-  std::unordered_set<std::string> seen;
-  std::vector<bool> unit_taken(units.size(), false);
-  std::vector<std::string> frontier{seed};
-  while (!frontier.empty()) {
-    std::string application = std::move(frontier.back());
-    frontier.pop_back();
-    if (!seen.insert(application).second) continue;
-    auto route = routes_.find(application);
-    if (route != routes_.end()) group.matches += route->second.matches;
-    auto it = units_by_app.find(application);
-    if (it != units_by_app.end()) {
-      for (size_t id : it->second) {
-        if (unit_taken[id]) continue;
-        unit_taken[id] = true;
-        group.keys.push_back(*units[id].key);
-        for (const std::string* member : units[id].applications) {
-          if (seen.find(*member) == seen.end()) frontier.push_back(*member);
-        }
-      }
-    }
-    group.applications.push_back(std::move(application));
-  }
-  return group;
-}
-
-size_t ShardedScopeRegistry::MigrateGroup(const CoPinGroup& group,
-                                          uint32_t from, uint32_t to) {
-  std::vector<ScopeRegistry::ExtractedScope> extracted =
-      shards_[from].ExtractKeys(group.keys);
-  size_t moved = extracted.size();
-  shards_[to].InsertExtracted(std::move(extracted));
-  for (const std::string& key : group.keys) {
-    auto it = placements_.find(key);
-    if (it == placements_.end()) continue;
-    for (Placement& placement : it->second) {
-      if (placement.shard == from) placement.shard = to;
-    }
-  }
-  for (const std::string& application : group.applications) {
-    auto it = routes_.find(application);
-    if (it != routes_.end()) it->second.shard = to;
-  }
-  ++reshards_;
-  migrated_ += moved;
-  return moved;
-}
-
-size_t ShardedScopeRegistry::MigrateApplication(const std::string& application,
-                                                size_t target_shard) {
-  auto it = routes_.find(application);
-  if (it == routes_.end() || target_shard >= shards_.size()) return 0;
-  uint32_t from = it->second.shard;
-  if (from == static_cast<uint32_t>(target_shard)) return 0;
-  return MigrateGroup(CollectGroup(application, from), from,
-                      static_cast<uint32_t>(target_shard));
-}
-
-size_t ShardedScopeRegistry::RebalanceOnce() {
-  if (shards_.size() < 2 && max_shards_ <= shards_.size()) return 0;
-  std::vector<uint64_t> totals(shards_.size(), 0);
-  for (const auto& [application, route] : routes_) {
-    totals[route.shard] += route.matches;
-  }
-  uint64_t sum = 0;
-  for (uint64_t total : totals) sum += total;
-  if (sum < reshard_policy_.min_matches) return 0;
-  size_t hot = 0;
-  size_t cold = 0;
-  for (size_t s = 1; s < totals.size(); ++s) {
-    if (totals[s] > totals[hot]) hot = s;
-    if (totals[s] < totals[cold]) cold = s;
-  }
-  double mean = static_cast<double>(sum) / static_cast<double>(totals.size());
-  if (static_cast<double>(totals[hot]) <= reshard_policy_.hot_ratio * mean) {
-    return 0;
-  }
-  // Applications resident on the hot shard, hottest first (name-descending
-  // tie-break keeps the choice deterministic across identical runs).
-  std::vector<std::pair<uint64_t, std::string>> residents;
-  for (const auto& [application, route] : routes_) {
-    if (route.shard == hot) residents.emplace_back(route.matches, application);
-  }
-  if (residents.size() < 2) return 0;  // one app cannot be split further
-  std::sort(residents.rbegin(), residents.rend());
-  bool can_grow = max_shards_ > shards_.size();
-  if (residents.front().first * 2 >= totals[hot]) {
-    // One application dominates the shard: isolate its group — on a fresh
-    // shard when growth is allowed, else on the coldest — if that
-    // strictly lowers the maximum load.
-    CoPinGroup group = CollectGroup(residents.front().second, hot);
-    if (group.matches >= totals[hot]) return 0;  // group spans the shard
-    size_t destination;
-    uint64_t destination_load;
-    if (can_grow) {
-      destination = shards_.size();  // AddShard below
-      destination_load = 0;
-    } else {
-      destination = cold;
-      destination_load = totals[cold];
-    }
-    if (destination_load + group.matches >= totals[hot]) return 0;
-    if (can_grow) destination = AddShard();
-    return MigrateGroup(group, static_cast<uint32_t>(hot),
-                        static_cast<uint32_t>(destination));
-  }
-  // No dominant application: peel the coldest resident group onto the
-  // coldest shard. Repeated rounds (MaybeRebalance's loop, and the next
-  // pull rounds) keep shaving until the shard drops under the ratio.
-  if (cold == hot) return 0;
-  CoPinGroup group = CollectGroup(residents.back().second, hot);
-  if (totals[cold] + group.matches >= totals[hot]) return 0;
-  return MigrateGroup(group, static_cast<uint32_t>(hot),
-                      static_cast<uint32_t>(cold));
-}
-
-size_t ShardedScopeRegistry::MaybeRebalance() {
-  if (!reshard_policy_.enabled) return 0;
-  size_t moved = 0;
-  for (size_t round = 0; round < reshard_policy_.max_moves_per_round;
-       ++round) {
-    size_t step = RebalanceOnce();
-    if (step == 0) break;
-    moved += step;
-  }
-  if (moved > 0) {
-    // Halve the counters so the next decision weighs recent traffic over
-    // history (and repeated calls cannot thrash on a stale hot spot).
-    for (auto& [application, route] : routes_) route.matches /= 2;
-    residual_matches_ /= 2;
-  }
-  return moved;
 }
 
 // --- Matching ---------------------------------------------------------------
@@ -449,12 +252,8 @@ std::vector<std::string> ShardedScopeRegistry::LookupMerged(
   if (it == routes_.end()) {
     // An unassigned application has no shard-resident subscope that could
     // match it, so the residual shard alone is the complete answer.
-    ++residual_matches_;
     return residual_.MatchedKeys(query, args...);
   }
-  // Load accounting for MaybeRebalance (mutable counter, no atomics —
-  // lookups run on the owning thread).
-  ++it->second.matches;
   return MergeBySequence(
       shards_[it->second.shard].MatchedSeqKeys(query, args...),
       residual_.MatchedSeqKeys(query, args...));
@@ -484,7 +283,6 @@ std::vector<std::string> ShardedScopeRegistry::MatchedKeys(
     const UserEventContext& context) const {
   // Every UserEventScope lives in the residual shard (no application
   // filters), so no merge is needed.
-  ++residual_matches_;
   return residual_.MatchedKeys(context);
 }
 

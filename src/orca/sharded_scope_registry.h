@@ -24,7 +24,9 @@ namespace orcastream::orca {
 /// unless a multi-application subscope pins it — see below) and the
 /// assignment is reference-counted: when the last shard-resident subscope
 /// filtering on an application is unregistered or retired, the assignment
-/// is dropped. Subscopes route by their application filters:
+/// is dropped. An assignment never moves while it is held; load skew
+/// across shards is not rebalanced. Subscopes route by their application
+/// filters:
 ///
 ///   - no application filter (wildcards, and every UserEventScope — user
 ///     events carry no application) → the always-consulted *residual
@@ -55,22 +57,6 @@ namespace orcastream::orca {
 /// shard's serial match already runs far past the linear scan, and
 /// per-round worker threads slowed the rest of the round (view building,
 /// publishing) by more than they saved.
-///
-/// **Dynamic resharding.** Every lookup charges one match to the owning
-/// application's route, so the registry observes per-application and
-/// per-shard load. MaybeRebalance (called between SRM rounds, on the
-/// sim thread — never concurrently with matching) finds a shard whose
-/// observed match volume exceeds `hot_ratio`× the mean and migrates
-/// application groups off it — to the coldest shard, or to a freshly
-/// grown one when growth is allowed and the hot application dominates.
-/// A migration moves the *co-pin closure* of an application (every
-/// application transitively sharing a multi-application subscope or a
-/// key with it in that shard) so the shard-map invariant — all of a
-/// placement's applications live on the placement's shard — survives.
-/// Subscopes move via ScopeRegistry::ExtractKeys/InsertExtracted, which
-/// preserve generation and global-sequence stamps, so merged match
-/// results stay byte-identical to the single-registry oracle during and
-/// after any sequence of migrations.
 class ShardedScopeRegistry {
  public:
   using Generation = ScopeRegistry::Generation;
@@ -144,62 +130,6 @@ class ShardedScopeRegistry {
   std::vector<std::vector<std::string>> MatchPeMetricBatch(
       const std::vector<PeMetricContext>& contexts) const;
 
-  // --- Load accounting & dynamic resharding -------------------------------
-
-  /// Observed load of one shard: resident subscopes, applications routed
-  /// to it, and the match-lookup volume charged to those applications
-  /// (decayed by half after each rebalancing round so decisions track
-  /// recent traffic). shard_loads() returns one entry per shard plus a
-  /// final entry for the residual shard.
-  struct ShardLoad {
-    size_t subscopes = 0;
-    size_t applications = 0;
-    uint64_t matches = 0;
-  };
-  std::vector<ShardLoad> shard_loads() const;
-  /// Match volume charged to the residual shard (unassigned applications
-  /// and user events).
-  uint64_t residual_matches() const { return residual_matches_; }
-  /// Completed migrations (one per application group moved).
-  uint64_t reshard_count() const { return reshards_; }
-  /// Subscopes moved across shards by migrations, cumulative.
-  uint64_t migrated_subscopes() const { return migrated_; }
-
-  /// When to split a hot shard. A shard is *hot* once total observed
-  /// matches reach `min_matches` AND its share exceeds `hot_ratio`× the
-  /// per-shard mean; each MaybeRebalance call migrates at most
-  /// `max_moves_per_round` application groups off hot shards.
-  struct ReshardPolicy {
-    bool enabled = true;
-    double hot_ratio = 2.0;
-    uint64_t min_matches = 4096;
-    size_t max_moves_per_round = 4;
-  };
-  void set_reshard_policy(const ReshardPolicy& policy) {
-    reshard_policy_ = policy;
-  }
-  const ReshardPolicy& reshard_policy() const { return reshard_policy_; }
-
-  /// Allows MaybeRebalance to grow the shard vector up to `max_shards`
-  /// when isolating a dominant application (0 = never grow).
-  void set_max_shards(size_t max_shards) { max_shards_ = max_shards; }
-
-  /// Splits hot shards per the policy. Returns subscopes migrated. Call
-  /// between rounds on the owning thread — migration mutates shards.
-  size_t MaybeRebalance();
-
-  /// The splitter's primitive, also usable directly: migrates
-  /// `application` — together with its co-pin closure — from its current
-  /// shard to `target_shard`. Returns subscopes moved (0 when the
-  /// application is unassigned, already there, or the target is out of
-  /// range). Match results are unchanged by construction.
-  size_t MigrateApplication(const std::string& application,
-                            size_t target_shard);
-
-  /// Appends a fresh, empty shard (generation counter aligned with its
-  /// siblings) and returns its index.
-  size_t AddShard();
-
   // --- Shard-map introspection (tests, benches) ---------------------------
 
   size_t shard_count() const { return shards_.size(); }
@@ -218,9 +148,9 @@ class ShardedScopeRegistry {
   // --- Predicate planner (see ScopeRegistry::set_predicate_planner) --------
 
   /// Enables/disables the src/plan/ predicate planner on every shard and
-  /// the residual shard; late-grown shards (AddShard) inherit the setting.
+  /// the residual shard.
   void set_predicate_planner(bool enabled);
-  bool predicate_planner() const { return predicate_planner_; }
+  bool predicate_planner() const { return residual_.predicate_planner(); }
   /// Planner counters summed across all shards and the residual shard.
   plan::PlanStats plan_stats() const;
 
@@ -230,14 +160,10 @@ class ShardedScopeRegistry {
 
   /// One shard assignment: the owning shard plus the number of
   /// shard-resident subscopes whose filters reference the application
-  /// (the assignment is dropped when it reaches zero). `matches` is the
-  /// load counter feeding MaybeRebalance — mutable because lookups are
-  /// const; lookups run on the owning (sim) thread, so it needs no
-  /// atomics.
+  /// (the assignment is dropped when it reaches zero).
   struct AppRoute {
     uint32_t shard = 0;
     size_t refs = 0;
-    mutable uint64_t matches = 0;
   };
 
   /// Bookkeeping for one registration: where it went and which
@@ -281,21 +207,6 @@ class ShardedScopeRegistry {
   static std::vector<std::string> MergeBySequence(std::vector<SeqKey> a,
                                                   std::vector<SeqKey> b);
 
-  /// An application group that must migrate as one unit plus the keys
-  /// whose shard-resident subscopes carry it.
-  struct CoPinGroup {
-    std::vector<std::string> applications;
-    std::vector<std::string> keys;
-    uint64_t matches = 0;
-  };
-  /// Closes `seed` over co-pinned applications within shard `from`.
-  CoPinGroup CollectGroup(const std::string& seed, uint32_t from) const;
-  /// Moves one group's subscopes and shard-map entries from → to.
-  size_t MigrateGroup(const CoPinGroup& group, uint32_t from, uint32_t to);
-  /// One splitting step: migrate one group off the hottest shard if the
-  /// policy says it is hot and a strictly better placement exists.
-  size_t RebalanceOnce();
-
   std::vector<ScopeRegistry> shards_;
   ScopeRegistry residual_;
   /// application → owning shard + reference count (the shard map).
@@ -306,17 +217,6 @@ class ShardedScopeRegistry {
   Generation current_generation_ = 0;
   /// Global registration sequence driving every shard's counter.
   uint64_t next_sequence_ = 0;
-
-  ReshardPolicy reshard_policy_;
-  size_t max_shards_ = 0;
-  /// Forwarded to late-grown shards (AddShard).
-  size_t compaction_threshold_ = 16;
-  /// Forwarded to late-grown shards (AddShard).
-  bool predicate_planner_ = false;
-  /// Calling-thread-only load counters (see AppRoute::matches).
-  mutable uint64_t residual_matches_ = 0;
-  uint64_t reshards_ = 0;
-  uint64_t migrated_ = 0;
 };
 
 }  // namespace orcastream::orca

@@ -30,7 +30,7 @@ struct AttributeStats {
 
 /// Per-attribute cardinalities for one shape group, maintained
 /// incrementally by ShapeIndex on every register (OnInsert), unregister /
-/// retire / migration (OnKill), and index rebuild (Reset) — never by
+/// retire (OnKill), and index rebuild (Reset) — never by
 /// scanning the postings. The planner orders its intersection plan from
 /// these counters alone.
 class CardinalityStats {

@@ -12,9 +12,9 @@ namespace orcastream::plan {
 /// Compiled plans keyed by predicate shape. Invalidation is epoch-driven
 /// and handled by ShapeIndex::Prepare — every registry lifecycle event
 /// that can change cardinalities (a registration consuming a sequence
-/// number, a generation retirement, a compaction rebuild, a shard
-/// migration) bumps the index epoch and marks the touched groups dirty;
-/// Prepare then re-Puts a fresh plan. Find deliberately serves plans of
+/// number, a generation retirement, a compaction rebuild) bumps the
+/// index epoch and marks the touched groups dirty; Prepare then re-Puts
+/// a fresh plan. Find deliberately serves plans of
 /// any epoch: lookups run concurrently and a momentarily stale plan only
 /// mis-orders probes, never changes results.
 class PlanCache {

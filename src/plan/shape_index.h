@@ -85,7 +85,7 @@ class ShapeIndex {
   void Kill(uint32_t position, const AttributeValues& values);
 
   /// Drops all groups and cached plans (store rebuild: compaction,
-  /// migration re-sort, registry Clear). Lookup counters survive.
+  /// registry Clear). Lookup counters survive.
   void Clear();
 
   /// Recompiles the plan of every group whose cardinalities changed since
@@ -147,7 +147,7 @@ class ShapeIndex {
   PlanCache cache_;
   /// Bumped by every Add/Kill/Clear — i.e. by every registration
   /// (sequence advance), unregistration/retirement (generation event),
-  /// compaction, and migration of the owning store.
+  /// and compaction of the owning store.
   uint64_t epoch_ = 0;
   mutable std::atomic<uint64_t> planned_lookups_{0};
   mutable std::atomic<uint64_t> fallback_lookups_{0};

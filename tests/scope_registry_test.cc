@@ -512,103 +512,6 @@ TEST_F(ScopeRegistryTest, RandomizedChurnEquivalence) {
   EXPECT_GT(registry.compaction_count(), 0u);
 }
 
-// --- Subscope migration edge cases (ExtractKeys / InsertExtracted) ----------
-// The churn suite exercises steady-state migration; these pin down the
-// boundaries: empty extractions, re-insertion into the donor itself, and
-// extraction interleaved with a generation retire.
-
-TEST_F(ScopeRegistryTest, ExtractZeroKeysIsANoOp) {
-  ScopeRegistry registry;
-  registry.Register(UserEventScope("keep"));
-
-  EXPECT_TRUE(registry.ExtractKeys({}).empty());
-  // Unknown keys extract nothing and disturb nothing.
-  EXPECT_TRUE(registry.ExtractKeys({"ghost", "phantom"}).empty());
-  EXPECT_EQ(registry.size(), 1u);
-  // The degenerate replay (a migration that moved nothing) is also a
-  // no-op.
-  registry.InsertExtracted({});
-
-  UserEventContext context;
-  context.name = "poke";
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"keep"}));
-  EXPECT_EQ(registry.MatchedKeys(context),
-            registry.MatchedKeysLinear(context));
-}
-
-TEST_F(ScopeRegistryTest, ReinsertingExtractedIntoSourceRestoresOrder) {
-  ScopeRegistry registry;
-  for (int i = 0; i < 6; ++i) {
-    registry.Register(UserEventScope("u" + std::to_string(i)));
-  }
-  UserEventContext context;
-  context.name = "poke";
-
-  // A split that gets rolled back: the subscopes return to the shard
-  // they were lifted from.
-  auto extracted = registry.ExtractKeys({"u1", "u4"});
-  EXPECT_EQ(extracted.size(), 2u);
-  EXPECT_EQ(registry.size(), 4u);
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u2", "u3", "u5"}));
-
-  registry.InsertExtracted(std::move(extracted));
-  EXPECT_EQ(registry.size(), 6u);
-  // Original registration order (ascending sequence), not append order:
-  // the returning subscopes slot back between their old neighbors.
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u1", "u2", "u3", "u4", "u5"}));
-  EXPECT_EQ(registry.MatchedKeys(context),
-            registry.MatchedKeysLinear(context));
-  // The restored keys are individually addressable again.
-  EXPECT_EQ(registry.Unregister("u4"), 1u);
-  EXPECT_EQ(registry.MatchedKeys(context),
-            (std::vector<std::string>{"u0", "u1", "u2", "u3", "u5"}));
-}
-
-TEST_F(ScopeRegistryTest, ExtractionInterleavedWithGenerationRetire) {
-  // A hot-shard split racing a ReplaceLogic: subscopes leave the donor
-  // while their generation is being retired. Whichever registry holds a
-  // subscope when RetireGeneration reaches it must claim it — exactly
-  // once, and the stamp travels with the extraction.
-  ScopeRegistry donor;
-  ScopeRegistry recipient;
-  ScopeRegistry::Generation generation = donor.BeginGeneration();
-  recipient.set_current_generation(generation);
-  donor.Register(UserEventScope("moving"));
-  donor.Register(UserEventScope("staying"));
-
-  // Keys leave the donor first...
-  auto moved = donor.ExtractKeys({"moving"});
-  ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved.front().generation, generation);
-
-  // ...then the retire sweeps the donor: only what remained is claimed.
-  EXPECT_EQ(donor.RetireGeneration(generation), 1u);
-  EXPECT_TRUE(donor.empty());
-
-  // The migrated subscope kept its stamp, so completing the retire on
-  // the recipient after insertion removes it there — the replace loses
-  // no scope and leaks no scope, whichever side the sweep hits first.
-  recipient.InsertExtracted(std::move(moved));
-  EXPECT_EQ(recipient.size(), 1u);
-  UserEventContext context;
-  context.name = "poke";
-  EXPECT_EQ(recipient.MatchedKeys(context),
-            (std::vector<std::string>{"moving"}));
-  EXPECT_EQ(recipient.RetireGeneration(generation), 1u);
-  EXPECT_TRUE(recipient.empty());
-  EXPECT_TRUE(recipient.MatchedKeys(context).empty());
-
-  // The reverse interleaving: a subscope already retired cannot be
-  // extracted afterwards (the migration sees the post-retire registry).
-  ScopeRegistry::Generation next = donor.BeginGeneration();
-  donor.Register(UserEventScope("gone"));
-  EXPECT_EQ(donor.RetireGeneration(next), 1u);
-  EXPECT_TRUE(donor.ExtractKeys({"gone"}).empty());
-}
-
 TEST_F(ScopeRegistryTest, ClearEmptiesEverything) {
   ScopeRegistry registry;
   registry.Register(OperatorMetricScope("a"));

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "orca/orca_service.h"
 #include "orca/rules.h"
 #include "tests/test_util.h"
@@ -336,10 +341,10 @@ TEST(ServiceMetricsTest, IngestedSnapshotContextsCarryEveryField) {
             }));
 }
 
-/// Satellite: the shard/queue observability surface. Shard loads track
-/// where subscopes live and which shard absorbs the match volume; queue
-/// stats expose per-application depth/delivered/backlog-age under async
-/// dispatch (and stay empty on the serial path).
+/// Satellite: the shard/queue observability surface. Per-shard sizes
+/// show where subscopes live; queue stats expose per-application
+/// depth/delivered/backlog-age under async dispatch (and stay empty on
+/// the serial path).
 TEST(ServiceMetricsTest, ShardAndQueueObservability) {
   ClusterHarness cluster(3);
   OrcaService::Config service_config;
@@ -358,22 +363,16 @@ TEST(ServiceMetricsTest, ShardAndQueueObservability) {
   cluster.sim().RunUntil(35);
   ASSERT_FALSE(logic->pe_events.empty());
 
-  // Shard loads: one row per shard plus the residual row; subscope
-  // occupancy sums to the registry size, and the pull rounds charged
-  // match volume somewhere (the PE-metric scope above is app-filterless,
-  // i.e. residual).
-  auto loads = service.shard_loads();
-  ASSERT_EQ(loads.size(), service.scopes().shard_count() + 1);
-  size_t subscopes = 0;
-  uint64_t matches = 0;
-  for (const auto& load : loads) {
-    subscopes += load.subscopes;
-    matches += load.matches;
+  // Shard occupancy: the per-shard sizes plus the residual shard's sum
+  // to the registry size, and the app-filterless PE-metric scope above
+  // lives in the residual shard.
+  size_t subscopes = service.scopes().residual_shard().size();
+  for (size_t i = 0; i < service.scopes().shard_count(); ++i) {
+    subscopes += service.scopes().shard(i).size();
   }
+  EXPECT_EQ(service.scopes().shard_count(), 2u);
   EXPECT_EQ(subscopes, service.scopes().size());
-  EXPECT_GT(matches, 0u);
-  EXPECT_EQ(service.reshard_count(), 0u);  // volume below the floor
-  EXPECT_EQ(service.migrated_subscopes(), 0u);
+  EXPECT_GT(service.scopes().residual_shard().size(), 0u);
 
   // Queue stats: the simulation is quiescent, so every queue drained;
   // per-queue delivered counts add up to the service total, and the
@@ -400,8 +399,92 @@ TEST(ServiceMetricsTest, ShardAndQueueObservability) {
   EXPECT_TRUE(serial.queue_stats().empty());
   EXPECT_EQ(serial.app_queue_depth("App"), 0u);
   EXPECT_EQ(serial.app_queue_backlog_age("App"), 0.0);
-  EXPECT_EQ(serial.shard_loads().size(),
-            serial.scopes().shard_count() + 1);
+  EXPECT_EQ(serial.scopes().shard_count(), 4u);
+  EXPECT_TRUE(serial.scopes().empty());
+}
+
+/// Beacon → `filters` Filter operators → NullSink: a pipeline whose SRM
+/// sample volume per pull round grows with `filters`.
+ApplicationModel ChainApp(const std::string& name, int filters) {
+  AppBuilder builder(name);
+  builder.AddOperator("src", "Beacon").Output("s0").Param("period", 0.2);
+  for (int i = 0; i < filters; ++i) {
+    builder.AddOperator("flt" + std::to_string(i), "Filter")
+        .Input("s" + std::to_string(i))
+        .Output("s" + std::to_string(i + 1))
+        .Param("field", "seq")
+        .Param("op", ">=")
+        .Param("value", "0");
+  }
+  builder.AddOperator("snk", "NullSink").Input("s" + std::to_string(filters));
+  auto model = builder.Build();
+  EXPECT_TRUE(model.ok()) << model.status();
+  return model.ValueOr(ApplicationModel("invalid"));
+}
+
+/// Co-locates "Hot" and "Cold" on one shard through a transient
+/// two-application scope, then keeps one operator-metric scope per
+/// application. Counts the deliveries each application's scope gets.
+class SkewedShardOrca : public Orchestrator {
+ public:
+  void HandleOrcaStart(OrcaContext& orca,
+                       const OrcaStartContext&) override {
+    OperatorMetricScope link("link");
+    link.AddApplicationFilter("Hot");
+    link.AddApplicationFilter("Cold");
+    orca.RegisterEventScope(link);
+    for (const char* application : {"Hot", "Cold"}) {
+      OperatorMetricScope scope(application);
+      scope.AddApplicationFilter(application);
+      orca.RegisterEventScope(scope);
+    }
+    orca.UnregisterEventScope("link");
+    orca.SubmitApplication("Hot");
+    orca.SubmitApplication("Cold");
+  }
+  void HandleOperatorMetricEvent(
+      OrcaContext&, const OperatorMetricContext& context,
+      const std::vector<std::string>&) override {
+    ++deliveries[context.application];
+  }
+  std::map<std::string, uint64_t> deliveries;
+};
+
+/// An application's shard is fixed by its first registration: skewed
+/// pull rounds — one application drawing almost all the match volume
+/// while it shares a shard with a cold one, far past 4096 lookups —
+/// never move either application.
+TEST(ServiceMetricsTest, ApplicationShardsStayFixedUnderSkewedPulls) {
+  ClusterHarness cluster(3);
+  OrcaService service(&cluster.sim(), &cluster.sam(), &cluster.srm());
+  for (const auto& [name, filters] :
+       std::vector<std::pair<std::string, int>>{{"Hot", 48}, {"Cold", 1}}) {
+    AppConfig config;
+    config.id = name;
+    config.application_name = name;
+    ASSERT_TRUE(
+        service.RegisterApplication(config, ChainApp(name, filters)).ok());
+  }
+  auto logic_holder = std::make_unique<SkewedShardOrca>();
+  SkewedShardOrca* logic = logic_holder.get();
+  ASSERT_TRUE(service.Load(std::move(logic_holder)).ok());
+  cluster.sim().RunUntil(1.0);  // the start handler registers the scopes
+
+  const ShardedScopeRegistry& scopes = service.scopes();
+  ASSERT_GT(scopes.shard_count(), 1u);
+  const int shard = scopes.shard_of("Hot");
+  ASSERT_GE(shard, 0);
+  ASSERT_EQ(scopes.shard_of("Cold"), shard);
+  for (int round = 1; round <= 60; ++round) {
+    cluster.sim().RunUntil(15.0 * round + 1.0);
+    ASSERT_EQ(scopes.shard_of("Hot"), shard) << "round " << round;
+    ASSERT_EQ(scopes.shard_of("Cold"), shard) << "round " << round;
+  }
+  // Each delivery is at least one lookup, so the skewed volume is well
+  // past 4096 lookups.
+  EXPECT_GT(logic->deliveries["Hot"], 2u * 4096u);
+  EXPECT_GT(logic->deliveries["Hot"], 10u * logic->deliveries["Cold"]);
+  EXPECT_GT(logic->deliveries["Cold"], 0u);
 }
 
 }  // namespace

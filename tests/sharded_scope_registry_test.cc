@@ -468,216 +468,6 @@ TEST_F(ShardedScopeRegistryTest, BatchMatchesPerSampleLookups) {
   }
 }
 
-// --- Dynamic resharding ------------------------------------------------------
-
-/// The tentpole correctness property: hot-shard splits triggered mid-churn
-/// must never change what matches — the sharded registry stays
-/// byte-identical to the mirrored no-split single registry and its linear
-/// oracle while subscope groups migrate underneath the match stream.
-TEST_F(ShardedScopeRegistryTest, RandomizedChurnWithHotShardSplits) {
-  for (size_t shard_count : {2u, 4u}) {
-    SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
-    Rng rng(7000 + shard_count);
-    MirroredRegistries mirror(shard_count);
-    mirror.sharded.set_compaction_threshold(4);
-    mirror.single.set_compaction_threshold(4);
-    // Aggressive splitter: low volume floor, growth headroom, so the
-    // skewed traffic below actually triggers migrations mid-stream.
-    ShardedScopeRegistry::ReshardPolicy policy;
-    policy.hot_ratio = 1.25;
-    policy.min_matches = 32;
-    policy.max_moves_per_round = 4;
-    mirror.sharded.set_reshard_policy(policy);
-    mirror.sharded.set_max_shards(8);
-
-    int next_key = 0;
-    std::vector<std::string> live_keys;
-    for (int step = 0; step < 500; ++step) {
-      double roll = rng.UniformDouble(0.0, 1.0);
-      if (roll < 0.55 || live_keys.empty()) {
-        std::string key = "k" + std::to_string(next_key++);
-        mirror.Register(RandomOperatorMetricScope(rng, key));
-        live_keys.push_back(key);
-      } else if (roll < 0.75) {
-        size_t pick = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(live_keys.size()) - 1));
-        ASSERT_EQ(mirror.Unregister(live_keys[pick]), 1u);
-        live_keys.erase(live_keys.begin() + static_cast<ptrdiff_t>(pick));
-      } else {
-        // Zipf-flavored traffic: App0 dominates, so whichever shard owns
-        // it runs hot and the splitter has something to split.
-        OperatorMetricContext context = RandomOperatorMetricContext(rng);
-        if (rng.Bernoulli(0.7)) context.application = "App0";
-        auto keys = mirror.sharded.MatchedKeys(context, view_);
-        ASSERT_EQ(keys, mirror.single.MatchedKeys(context, view_));
-        ASSERT_EQ(keys, mirror.single.MatchedKeysLinear(context, view_));
-      }
-      if (step % 25 == 24) mirror.sharded.MaybeRebalance();
-      if (step % 5 == 0) CheckEquivalence(mirror, rng);
-    }
-    // The skew must actually have exercised the splitter, or this test
-    // proves nothing.
-    EXPECT_GT(mirror.sharded.reshard_count(), 0u);
-    EXPECT_GT(mirror.sharded.migrated_subscopes(), 0u);
-    CheckEquivalence(mirror, rng);
-
-    for (const auto& key : live_keys) mirror.Unregister(key);
-    EXPECT_TRUE(mirror.sharded.empty());
-    EXPECT_EQ(mirror.sharded.tracked_applications(), 0u);
-  }
-}
-
-TEST_F(ShardedScopeRegistryTest, MigrateApplicationMovesCoPinnedGroup) {
-  ShardedScopeRegistry registry(2);
-  // App0+App1 share a subscope (co-pinned); App2 is independent.
-  PeFailureScope pair("pair");
-  pair.AddApplicationFilter("App0");
-  pair.AddApplicationFilter("App1");
-  registry.Register(pair);
-  PeFailureScope solo("solo");
-  solo.AddApplicationFilter("App0");
-  registry.Register(solo);
-  JobEventScope other("other");
-  other.AddApplicationFilter("App2");
-  registry.Register(other);
-
-  int from = registry.shard_of("App0");
-  ASSERT_GE(from, 0);
-  ASSERT_EQ(registry.shard_of("App1"), from);
-  size_t target = registry.AddShard();
-  EXPECT_EQ(registry.shard_count(), 3u);
-
-  // Migrating App0 must carry App1 (the co-pin closure) and both keys.
-  EXPECT_EQ(registry.MigrateApplication("App0", target), 2u);
-  EXPECT_EQ(registry.shard_of("App0"), static_cast<int>(target));
-  EXPECT_EQ(registry.shard_of("App1"), static_cast<int>(target));
-  EXPECT_EQ(registry.shard(static_cast<size_t>(from)).size(), 0u)
-      << "source shard should have released both migrated subscopes";
-
-  // Match results and order are unchanged after the move; registrations
-  // keep routing to the new shard.
-  PeFailureContext context;
-  context.job = job_;
-  context.application = "App0";
-  context.reason = "segfault";
-  EXPECT_EQ(registry.MatchedKeys(context, view_),
-            (std::vector<std::string>{"pair", "solo"}));
-  PeFailureScope late("late");
-  late.AddApplicationFilter("App1");
-  registry.Register(late);
-  EXPECT_EQ(registry.shard(target).size(), 3u);
-
-  // Order across a migration stays sequence-ascending even when the
-  // destination already held later-sequence subscopes: "other" (seq 3)
-  // lives on App2's shard; move App0's group (seq 1, 2) there too.
-  size_t dest2 = static_cast<size_t>(registry.shard_of("App2"));
-  EXPECT_EQ(registry.MigrateApplication("App0", dest2), 3u);
-  EXPECT_EQ(registry.MatchedKeys(context, view_),
-            (std::vector<std::string>{"pair", "solo"}));
-  JobEventContext job_context;
-  job_context.job = job_;
-  job_context.application = "App2";
-  EXPECT_EQ(registry.MatchedKeys(job_context, /*is_submission=*/true),
-            (std::vector<std::string>{"other"}));
-
-  // No-op moves: unknown app, same shard, out-of-range target.
-  EXPECT_EQ(registry.MigrateApplication("Ghost", 0), 0u);
-  EXPECT_EQ(registry.MigrateApplication("App0", dest2), 0u);
-  EXPECT_EQ(registry.MigrateApplication("App0", 99), 0u);
-}
-
-TEST_F(ShardedScopeRegistryTest, LoadCountersAndShardLoads) {
-  ShardedScopeRegistry registry(2);
-  PeFailureScope scoped("a");
-  scoped.AddApplicationFilter("App0");
-  registry.Register(scoped);
-  registry.Register(UserEventScope("wild"));  // residual
-
-  PeFailureContext context;
-  context.job = job_;
-  context.application = "App0";
-  context.reason = "oom";
-  for (int i = 0; i < 5; ++i) registry.MatchedKeys(context, view_);
-  context.application = "NeverRegistered";  // residual-only lookups
-  for (int i = 0; i < 3; ++i) registry.MatchedKeys(context, view_);
-
-  auto loads = registry.shard_loads();
-  ASSERT_EQ(loads.size(), registry.shard_count() + 1);  // + residual row
-  size_t app_shard = static_cast<size_t>(registry.shard_of("App0"));
-  EXPECT_EQ(loads[app_shard].subscopes, 1u);
-  EXPECT_EQ(loads[app_shard].applications, 1u);
-  EXPECT_EQ(loads[app_shard].matches, 5u);
-  EXPECT_EQ(loads.back().subscopes, 1u);
-  EXPECT_EQ(loads.back().matches, registry.residual_matches());
-  EXPECT_EQ(registry.residual_matches(), 3u);
-
-  // Below the volume floor nothing rebalances; above it, only if a shard
-  // is actually hot relative to the mean.
-  ShardedScopeRegistry::ReshardPolicy policy;
-  policy.min_matches = 1u << 30;
-  registry.set_reshard_policy(policy);
-  EXPECT_EQ(registry.MaybeRebalance(), 0u);
-  policy.min_matches = 1;
-  policy.enabled = false;
-  registry.set_reshard_policy(policy);
-  EXPECT_EQ(registry.MaybeRebalance(), 0u);
-}
-
-TEST_F(ShardedScopeRegistryTest, MaybeRebalanceSplitsDominantApplication) {
-  ShardedScopeRegistry registry(2);
-  // Two applications forced onto the same shard via co-pinning with a
-  // third, then unregister the link: both stay resident on one shard.
-  PeFailureScope link("link");
-  link.AddApplicationFilter("App0");
-  link.AddApplicationFilter("App1");
-  registry.Register(link);
-  PeFailureScope a("a");
-  a.AddApplicationFilter("App0");
-  registry.Register(a);
-  PeFailureScope b("b");
-  b.AddApplicationFilter("App1");
-  registry.Register(b);
-  ASSERT_EQ(registry.Unregister("link"), 1u);
-  int shard = registry.shard_of("App0");
-  ASSERT_EQ(registry.shard_of("App1"), shard);
-
-  // Skewed traffic: App0 dominates its shard's volume.
-  PeFailureContext context;
-  context.job = job_;
-  context.reason = "segfault";
-  for (int i = 0; i < 90; ++i) {
-    context.application = "App0";
-    registry.MatchedKeys(context, view_);
-  }
-  for (int i = 0; i < 10; ++i) {
-    context.application = "App1";
-    registry.MatchedKeys(context, view_);
-  }
-
-  ShardedScopeRegistry::ReshardPolicy policy;
-  policy.hot_ratio = 1.5;
-  policy.min_matches = 50;
-  registry.set_reshard_policy(policy);
-  registry.set_max_shards(4);
-  EXPECT_GT(registry.MaybeRebalance(), 0u);
-  EXPECT_GT(registry.reshard_count(), 0u);
-  // The dominant app was isolated away from its cold co-resident.
-  EXPECT_NE(registry.shard_of("App0"), registry.shard_of("App1"));
-  // Counters decayed so the next round reacts to fresh traffic.
-  auto loads = registry.shard_loads();
-  uint64_t total = 0;
-  for (const auto& load : loads) total += load.matches;
-  EXPECT_LT(total, 100u);
-
-  // Matching still agrees with itself after the split.
-  context.application = "App0";
-  EXPECT_EQ(registry.MatchedKeys(context, view_),
-            (std::vector<std::string>{"a"}));
-  context.application = "App1";
-  EXPECT_EQ(registry.MatchedKeys(context, view_),
-            (std::vector<std::string>{"b"}));
-}
-
 TEST_F(ShardedScopeRegistryTest, ClearReleasesShardsAndMap) {
   ShardedScopeRegistry registry(4);
   PeFailureScope scoped("a");
